@@ -103,6 +103,17 @@ void BinaryHV::mask_tail() {
     words_.back() &= (std::uint64_t{1} << tail) - 1;
 }
 
+BinaryHV BinaryHV::from_words(std::size_t dim, std::vector<std::uint64_t> words) {
+  if (words.size() != (dim + 63) / 64)
+    throw std::invalid_argument("BinaryHV::from_words: " + std::to_string(words.size()) +
+                                " words for dim " + std::to_string(dim));
+  BinaryHV b;
+  b.dim_ = dim;
+  b.words_ = std::move(words);
+  b.mask_tail();
+  return b;
+}
+
 BinaryHV BinaryHV::random(std::size_t dim, util::Rng& rng) {
   BinaryHV b(dim);
   for (auto& w : b.words_) w = rng.next_u64();

@@ -96,6 +96,10 @@ class BinaryHV {
   explicit BinaryHV(std::size_t dim);
 
   static BinaryHV random(std::size_t dim, util::Rng& rng);
+  /// Adopt `words` packed words ((dim + 63) / 64 of them, bit j of word
+  /// j / 64 is component j); bits past `dim` are cleared. Throws
+  /// std::invalid_argument on a word-count mismatch.
+  static BinaryHV from_words(std::size_t dim, std::vector<std::uint64_t> words);
 
   std::size_t dim() const { return dim_; }
   bool get(std::size_t i) const;

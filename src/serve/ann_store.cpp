@@ -326,16 +326,10 @@ IvfIndex IvfIndex::from_parts(const PrototypeStore& base, tensor::Tensor centroi
 void IvfIndex::build_lists() {
   const std::size_t rows = base_->n_classes();
   const std::size_t cc = centroids_.size(0);
-  const std::size_t d = base_->dim();
-  const std::size_t wpr = base_->words_per_row();
 
-  // Packed centroid codes (the binary path's probe targets), encoded with
-  // the store's own query encoder so expansion/LSH behave identically.
-  centroid_codes_.assign(cc * wpr, 0);
-  for (std::size_t c = 0; c < cc; ++c) {
-    const hdc::BinaryHV code = base_->encode_query(centroids_.data() + c * d);
-    std::copy(code.words().begin(), code.words().end(), centroid_codes_.begin() + c * wpr);
-  }
+  // Packed centroid codes (the binary path's probe targets), encoded by the
+  // store's own encoder so expansion/LSH behave identically.
+  centroid_codes_ = base_->encode_rows(centroids_);
 
   // Inverted lists: counting sort of row ids by centroid — rows stay
   // ascending within each list, so a full probe enumerates labels in the
@@ -491,26 +485,18 @@ std::vector<std::vector<TopK>> IvfIndex::topk_binary(const tensor::Tensor& embed
   std::vector<std::vector<TopK>> out(batch);
   if (k == 0 || batch == 0) return out;
 
-  const std::size_t d = base_->dim();
+  const PrototypeStore& store = *base_;
   const std::size_t np = resolve_nprobe(nprobe);
-  const std::size_t wpr = base_->words_per_row();
+  const std::size_t wpr = store.words_per_row();
   const std::size_t wp = prefix_words_;
   const std::size_t ws = wpr - wp;
-  const float scale = base_->scale();
-  const float inv_d = 1.0f / static_cast<float>(base_->code_bits());
   const bool penalized = penalty && penalty->active();
   const std::size_t kk = std::min(k, n_rows());
-  // Same integer-domain precondition as the exact sharded scan
-  // (topk_select.hpp): integer keys — and with them the early exit — need
-  // the (h asc, label asc) order to coincide with (score desc, label asc).
-  const bool integer_select = scale > 0.0f && base_->code_bits() < (std::size_t{1} << 24) &&
-                              (!penalized || penalty->integer_exact);
-
-  std::vector<std::uint64_t> qwords(batch * wpr);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const hdc::BinaryHV q = base_->encode_query(embeddings.data() + b * d);
-    std::copy(q.words().begin(), q.words().end(), qwords.begin() + b * wpr);
-  }
+  // Same integer-domain precondition as the exact sharded scan: integer
+  // keys — and with them the early exit — need the (h asc, label asc)
+  // order to coincide with (score desc, label asc).
+  const bool integer_select = store.integer_select(penalty);
+  const std::vector<std::uint64_t> qwords = store.encode_rows(embeddings);
 
   util::parallel_for(
       0, batch,
@@ -532,11 +518,9 @@ std::vector<std::vector<TopK>> IvfIndex::topk_binary(const tensor::Tensor& embed
           // under the integer-select precondition — the exact gather order.
           std::sort(keys.begin(), keys.begin() + heap.size());
           merged.resize(heap.size());
-          for (std::size_t i = 0; i < heap.size(); ++i) {
-            const auto hv = static_cast<float>(keys[i] >> 32);
+          for (std::size_t i = 0; i < heap.size(); ++i)
             merged[i] = TopK{static_cast<std::size_t>(keys[i] & 0xffffffffu),
-                             scale * (1.0f - 2.0f * hv * inv_d)};
-          }
+                             store.hamming_logit(static_cast<std::uint32_t>(keys[i] >> 32))};
         } else {
           // Float-domain fallback (pathological widths, non-positive
           // scale, or a non-integer GZSL handicap): full-width scan,
@@ -550,14 +534,9 @@ std::vector<std::vector<TopK>> IvfIndex::topk_binary(const tensor::Tensor& embed
                                  codes_suffix_, wp, ws, scratch, swept,
                                  [&](std::uint32_t row, std::uint32_t h) {
                                    if (adj) {
-                                     heap.offer(TopK{row, scale * (1.0f -
-                                                                   2.0f * static_cast<float>(h) *
-                                                                       inv_d) -
-                                                              adj[row]});
+                                     heap.offer(TopK{row, store.hamming_logit(h) - adj[row]});
                                    } else {
-                                     heap.offer(TopK{row, scale * (1.0f -
-                                                                   2.0f * static_cast<float>(h) *
-                                                                       inv_d)});
+                                     heap.offer(TopK{row, store.hamming_logit(h)});
                                    }
                                  });
           merged.assign(slots.begin(), slots.begin() + heap.size());
@@ -596,8 +575,9 @@ std::vector<std::vector<TopK>> IvfIndex::topk_cascade(const tensor::Tensor& embe
   const std::size_t kk = std::min(k, n_rows());
   // The prefilter ranks raw integer Hamming keys; an integer-exact GZSL
   // handicap folds in, any other handicap is applied only by the float
-  // rerank (the prefilter then ranks unpenalized — documented contract).
-  const bool integer_keys = scale > 0.0f && base_->code_bits() < (std::size_t{1} << 24);
+  // rerank (the prefilter then ranks unpenalized — documented contract), so
+  // the integer-key test ignores the penalty.
+  const bool integer_keys = base_->integer_select(nullptr);
   const bool fold_offsets = penalized && penalty->integer_exact;
 
   const tensor::Tensor e_hat = tensor::l2_normalize_rows(embeddings);
@@ -609,11 +589,7 @@ std::vector<std::vector<TopK>> IvfIndex::topk_cascade(const tensor::Tensor& embe
   tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, batch, cc, d, E, d,
                           centroids_.data(), d, cdots.data(), cc);
 
-  std::vector<std::uint64_t> qwords(batch * wpr);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const hdc::BinaryHV q = base_->encode_query(embeddings.data() + b * d);
-    std::copy(q.words().begin(), q.words().end(), qwords.begin() + b * wpr);
-  }
+  const std::vector<std::uint64_t> qwords = base_->encode_rows(embeddings);
 
   util::parallel_for(
       0, batch,
@@ -656,14 +632,13 @@ std::vector<std::vector<TopK>> IvfIndex::topk_cascade(const tensor::Tensor& embe
         } else {
           // No integer key order (non-positive scale or ≥ 2²⁴-bit codes):
           // full-width float-domain prefilter on unpenalized binary scores.
-          const float inv_d = 1.0f / static_cast<float>(base_->code_bits());
           ScanScratch scratch(max_list_);
           std::vector<TopK> slots(kprime);
           BoundedTopKFloat heap(slots.data(), kprime);
           scan_probed_lists_full(
               qw, probes, list_offsets_, list_rows_, codes_prefix_, codes_suffix_, wp, ws,
               scratch, swept, [&](std::uint32_t row, std::uint32_t h) {
-                heap.offer(TopK{row, scale * (1.0f - 2.0f * static_cast<float>(h) * inv_d)});
+                heap.offer(TopK{row, base_->hamming_logit(h)});
               });
           cands.reserve(heap.size());
           for (std::size_t i = 0; i < heap.size(); ++i)

@@ -16,7 +16,7 @@
 //    sharded scatter/gather scan (sharded_store.hpp). With n_shards == 1
 //    the sharded store degenerates to the flat layout; either way the
 //    ranking equals the flat path's full argsort. classify_batch is the
-//    k = 1 case and routes through the sharded scan when n_shards > 1.
+//    k = 1 case of the same scan, whatever the shard count.
 //
 // GZSL serving: when the version carries a seen/unseen partition, the
 // calibrated-stacking penalty is subtracted from every seen-class logit on
@@ -159,8 +159,9 @@ class InferenceEngine {
   std::vector<std::vector<TopK>> topk_batch(const tensor::Tensor& inputs, std::size_t k,
                                             BatchTimings* timings = nullptr) const;
 
-  /// Argmax + winning score per input (images or embeddings, as above).
-  /// `timings`, when non-null, receives the embed/score wall-time split;
+  /// Argmax + winning score per input (images or embeddings, as above):
+  /// the k = 1 topk_batch, whose (score desc, label asc) order makes it the
+  /// lowest-index argmax of logits(). `timings`, when non-null, receives the embed/score wall-time split;
   /// results are identical either way.
   std::vector<Prediction> classify_batch(const tensor::Tensor& inputs,
                                          BatchTimings* timings = nullptr) const;

@@ -6,61 +6,112 @@
 
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace hdczsc::serve {
 
 namespace {
 
-/// Sign-pack `n_rows` rows of `code_bits` floats each into pre-zeroed
-/// 64-bit words (bit 1 ↔ negative component), `wpr` words per row.
-void pack_signs(const float* src, std::size_t n_rows, std::size_t code_bits, std::size_t wpr,
-                std::uint64_t* dst) {
-  for (std::size_t c = 0; c < n_rows; ++c) {
-    std::uint64_t* row = dst + c * wpr;
-    const float* s = src + c * code_bits;
-    for (std::size_t j = 0; j < code_bits; ++j)
-      if (s[j] < 0.0f) row[j / 64] |= std::uint64_t{1} << (j % 64);
+/// Encode scratch: one [kEncodeRows, kEncodeTile] float block on the stack
+/// (8 KiB) whatever the batch; a tile packs into whole 64-bit words.
+constexpr std::size_t kEncodeRows = 8;
+constexpr std::size_t kEncodeTile = 256;
+
+/// Set bit j of the pre-zeroed `words` for every negative v[j], j < n.
+void or_signs(const float* v, std::size_t n, std::uint64_t* words) {
+  for (std::size_t j = 0; j < n; ++j)
+    words[j / 64] |= std::uint64_t{v[j] < 0.0f} << (j % 64);
+}
+
+/// Sign-LSH codes of `nr` ≤ kEncodeRows rows x [nr, d] through Rᵀ [d, D],
+/// OR-ed into pre-zeroed codes. Component j is Σ R[j, k]·x[k] summed in k
+/// order from +0.0f (the scalar definition) while the j loop vectorizes.
+void project_block(const float* rt, std::size_t d, std::size_t D, const float* x,
+                   std::size_t nr, std::size_t wpr, std::uint64_t* codes) {
+  float acc[kEncodeRows][kEncodeTile] = {};
+  for (std::size_t j0 = 0; j0 < D; j0 += kEncodeTile) {
+    const std::size_t jn = std::min(kEncodeTile, D - j0);
+    for (std::size_t b = 0; b < nr; ++b) std::fill(acc[b], acc[b] + jn, 0.0f);
+    for (std::size_t k = 0; k < d; ++k) {
+      const float* __restrict rk = rt + k * D + j0;
+      for (std::size_t b = 0; b < nr; ++b) {
+        const float xk = x[b * d + k];
+        float* __restrict a = acc[b];
+        for (std::size_t j = 0; j < jn; ++j) a[j] += rk[j] * xk;
+      }
+    }
+    for (std::size_t b = 0; b < nr; ++b) or_signs(acc[b], jn, codes + b * wpr + j0 / 64);
   }
 }
 
 }  // namespace
 
-void PrototypeStore::init_planes(std::size_t rows) {
-  capacity_rows_ = rows;
-  packed_plane_ = std::make_shared<std::vector<std::uint64_t>>(rows * words_per_row_, 0);
-  committed_ = std::make_shared<std::atomic<std::size_t>>(rows);
+void PrototypeStore::init_geometry(std::size_t expansion) {
+  expansion_ = expansion == 0 ? 1 : expansion;
+  code_bits_ = dim_ * expansion_;
+  words_per_row_ = (code_bits_ + 63) / 64;
+  inv_code_bits_ = 1.0f / static_cast<float>(code_bits_);
+  if (expansion_ == 1) return;
+  // The same draw sequence as Tensor::rademacher({D, d}) — row-major over
+  // R[j, k] — written straight into the transposed layout, so persisted
+  // codes made from lsh_seed stay valid and no second [D, d] copy exists.
+  projection_t_ = tensor::Tensor({dim_, code_bits_});
+  util::Rng rng(lsh_seed_);
+  float* rt = projection_t_.data();
+  for (std::size_t j = 0; j < code_bits_; ++j)
+    for (std::size_t k = 0; k < dim_; ++k)
+      rt[k * code_bits_ + j] = static_cast<float>(rng.rademacher());
 }
 
-void PrototypeStore::pack_rows_into(const tensor::Tensor& rows, std::size_t first_row,
-                                    std::size_t n_rows) {
-  pack_signs(rows.data(), n_rows, code_bits_, words_per_row_,
-             packed_plane_->data() + first_row * words_per_row_);
+void PrototypeStore::encode_rows(const float* rows, std::size_t n,
+                                 std::uint64_t* codes) const {
+  const std::size_t wpr = words_per_row_;
+  std::fill(codes, codes + n * wpr, std::uint64_t{0});
+  if (expansion_ == 1) {
+    // Signs are norm-invariant; pack the raw components directly.
+    for (std::size_t r = 0; r < n; ++r) or_signs(rows + r * dim_, dim_, codes + r * wpr);
+    return;
+  }
+  // Row blocks are independent: fanning them out changes nothing bitwise.
+  util::parallel_for(
+      0, (n + kEncodeRows - 1) / kEncodeRows,
+      [&](std::size_t blk) {
+        const std::size_t r0 = blk * kEncodeRows;
+        project_block(projection_t_.data(), dim_, code_bits_, rows + r0 * dim_,
+                      std::min(kEncodeRows, n - r0), wpr, codes + r0 * wpr);
+      },
+      /*grain=*/1);
+}
+
+std::vector<std::uint64_t> PrototypeStore::encode_rows(const tensor::Tensor& rows) const {
+  std::vector<std::uint64_t> codes(rows.size(0) * words_per_row_);
+  encode_rows(rows.data(), rows.size(0), codes.data());
+  return codes;
+}
+
+hdc::BinaryHV PrototypeStore::encode_query(const float* row) const {
+  std::vector<std::uint64_t> words(words_per_row_);
+  encode_rows(row, 1, words.data());
+  return hdc::BinaryHV::from_words(code_bits_, std::move(words));
 }
 
 PrototypeStore::PrototypeStore(const tensor::Tensor& prototypes, float scale,
                                std::size_t expansion, std::uint64_t lsh_seed)
-    : expansion_(expansion == 0 ? 1 : expansion), lsh_seed_(lsh_seed), scale_(scale) {
+    : lsh_seed_(lsh_seed), scale_(scale) {
   if (prototypes.dim() != 2 || prototypes.size(0) == 0)
     throw std::invalid_argument("PrototypeStore: prototypes must be a non-empty [C, d] matrix");
   n_classes_ = prototypes.size(0);
   dim_ = prototypes.size(1);
-  code_bits_ = dim_ * expansion_;
-  words_per_row_ = (code_bits_ + 63) / 64;
+  init_geometry(expansion);
 
-  // The initial float slab *is* the normalized matrix (capacity == C); the
-  // first append grows it geometrically.
+  // The initial slabs hold exactly the C rows (capacity == C); the first
+  // append grows them geometrically.
   float_plane_ = tensor::l2_normalize_rows(prototypes);
-  init_planes(n_classes_);
-
-  if (expansion_ == 1) {
-    // Signs are norm-invariant; pack the raw rows directly.
-    pack_rows_into(prototypes, 0, n_classes_);
-  } else {
-    util::Rng rng(lsh_seed);
-    projection_ = tensor::Tensor::rademacher({code_bits_, dim_}, rng);
-    pack_rows_into(tensor::matmul_nt(prototypes, projection_), 0, n_classes_);
-  }
+  capacity_rows_ = n_classes_;
+  packed_plane_ = std::make_shared<std::vector<std::uint64_t>>(n_classes_ * words_per_row_);
+  committed_ = std::make_shared<std::atomic<std::size_t>>(n_classes_);
+  encode_rows(prototypes.data(), n_classes_, packed_plane_->data());
 }
 
 PrototypeStore PrototypeStore::from_parts(tensor::Tensor normalized_rows,
@@ -70,13 +121,11 @@ PrototypeStore PrototypeStore::from_parts(tensor::Tensor normalized_rows,
     throw std::invalid_argument(
         "PrototypeStore::from_parts: normalized rows must be a non-empty [C, d] matrix");
   PrototypeStore s;
-  s.expansion_ = expansion == 0 ? 1 : expansion;
   s.lsh_seed_ = lsh_seed;
   s.scale_ = scale;
   s.n_classes_ = normalized_rows.size(0);
   s.dim_ = normalized_rows.size(1);
-  s.code_bits_ = s.dim_ * s.expansion_;
-  s.words_per_row_ = (s.code_bits_ + 63) / 64;
+  s.init_geometry(expansion);
   if (packed_words.size() != s.n_classes_ * s.words_per_row_)
     throw std::invalid_argument(
         "PrototypeStore::from_parts: packed words/shape disagree (" +
@@ -87,10 +136,6 @@ PrototypeStore PrototypeStore::from_parts(tensor::Tensor normalized_rows,
   s.packed_plane_ =
       std::make_shared<std::vector<std::uint64_t>>(std::move(packed_words));
   s.committed_ = std::make_shared<std::atomic<std::size_t>>(s.n_classes_);
-  if (s.expansion_ > 1) {
-    util::Rng rng(lsh_seed);
-    s.projection_ = tensor::Tensor::rademacher({s.code_bits_, s.dim_}, rng);
-  }
   return s;
 }
 
@@ -99,16 +144,7 @@ PrototypeStore PrototypeStore::append_rows(const tensor::Tensor& raw_rows) const
     throw std::invalid_argument("PrototypeStore::append_rows: need non-empty [n, " +
                                 std::to_string(dim_) + "] rows, got " +
                                 tensor::shape_str(raw_rows.shape()));
-  const std::size_t n_new = raw_rows.size(0);
-  const tensor::Tensor normalized = tensor::l2_normalize_rows(raw_rows);
-  std::vector<std::uint64_t> packed(n_new * words_per_row_, 0);
-  if (expansion_ == 1) {
-    pack_signs(raw_rows.data(), n_new, code_bits_, words_per_row_, packed.data());
-  } else {
-    const tensor::Tensor projected = tensor::matmul_nt(raw_rows, projection_);
-    pack_signs(projected.data(), n_new, code_bits_, words_per_row_, packed.data());
-  }
-  return append_impl(normalized, packed);
+  return append_impl(tensor::l2_normalize_rows(raw_rows), encode_rows(raw_rows));
 }
 
 PrototypeStore PrototypeStore::append_parts(
@@ -245,23 +281,6 @@ tensor::Tensor PrototypeStore::score_float(const tensor::Tensor& embeddings,
   return logits;
 }
 
-hdc::BinaryHV PrototypeStore::encode_query(const float* row) const {
-  hdc::BinaryHV b(code_bits_);
-  if (expansion_ == 1) {
-    for (std::size_t j = 0; j < code_bits_; ++j)
-      if (row[j] < 0.0f) b.set(j, true);
-    return b;
-  }
-  const float* R = projection_.data();
-  for (std::size_t j = 0; j < code_bits_; ++j) {
-    const float* prow = R + j * dim_;
-    float acc = 0.0f;
-    for (std::size_t k = 0; k < dim_; ++k) acc += prow[k] * row[k];
-    if (acc < 0.0f) b.set(j, true);
-  }
-  return b;
-}
-
 tensor::Tensor PrototypeStore::score_binary(const tensor::Tensor& embeddings,
                                             const SeenPenalty* penalty) const {
   if (embeddings.dim() != 2 || embeddings.size(1) != dim_)
@@ -270,32 +289,27 @@ tensor::Tensor PrototypeStore::score_binary(const tensor::Tensor& embeddings,
                                 tensor::shape_str(embeddings.shape()));
   const std::size_t batch = embeddings.size(0);
   tensor::Tensor logits({batch, n_classes_});
-  const float* E = embeddings.data();
   float* L = logits.data();
+  const std::vector<std::uint64_t> qwords = encode_rows(embeddings);
   std::vector<std::uint32_t> h(n_classes_);
-  const float inv_d = 1.0f / static_cast<float>(code_bits_);
   const bool penalized = penalty && penalty->active();
   const std::uint32_t* off =
       penalized && penalty->integer_exact ? penalty->row_offset.data() : nullptr;
   const float* adj = penalized && !penalty->integer_exact ? penalty->row_penalty.data()
                                                           : nullptr;
   for (std::size_t b = 0; b < batch; ++b) {
-    hdc::BinaryHV q = encode_query(E + b * dim_);
-    hdc::hamming_many_packed(q.words().data(), packed_data(), n_classes_, words_per_row_,
-                             h.data());
+    hdc::hamming_many_packed(qwords.data() + b * words_per_row_, packed_data(), n_classes_,
+                             words_per_row_, h.data());
     float* out = L + b * n_classes_;
     if (off) {
       // Integer-exact handicap: seen rows are scored as if their Hamming
       // distance were h + Δ — the identical expression the sharded scan
       // evaluates for its gathered candidates (bit-identical by design).
-      for (std::size_t c = 0; c < n_classes_; ++c)
-        out[c] = scale_ * (1.0f - 2.0f * static_cast<float>(h[c] + off[c]) * inv_d);
+      for (std::size_t c = 0; c < n_classes_; ++c) out[c] = hamming_logit(h[c] + off[c]);
     } else if (adj) {
-      for (std::size_t c = 0; c < n_classes_; ++c)
-        out[c] = scale_ * (1.0f - 2.0f * static_cast<float>(h[c]) * inv_d) - adj[c];
+      for (std::size_t c = 0; c < n_classes_; ++c) out[c] = hamming_logit(h[c]) - adj[c];
     } else {
-      for (std::size_t c = 0; c < n_classes_; ++c)
-        out[c] = scale_ * (1.0f - 2.0f * static_cast<float>(h[c]) * inv_d);
+      for (std::size_t c = 0; c < n_classes_; ++c) out[c] = hamming_logit(h[c]);
     }
   }
   return logits;
@@ -304,11 +318,9 @@ tensor::Tensor PrototypeStore::score_binary(const tensor::Tensor& embeddings,
 hdc::BinaryHV PrototypeStore::binary_prototype(std::size_t i) const {
   if (i >= n_classes_)
     throw std::out_of_range("PrototypeStore::binary_prototype: index out of range");
-  hdc::BinaryHV b(code_bits_);
   const std::uint64_t* row = packed_data() + i * words_per_row_;
-  for (std::size_t j = 0; j < code_bits_; ++j)
-    if ((row[j / 64] >> (j % 64)) & 1) b.set(j, true);
-  return b;
+  return hdc::BinaryHV::from_words(code_bits_,
+                                   std::vector<std::uint64_t>(row, row + words_per_row_));
 }
 
 }  // namespace hdczsc::serve

@@ -21,6 +21,10 @@
 //    *angle*, so Hamming ranking converges to the exact cosine ranking as
 //    k grows (error ~ 1/(2·sqrt(D))).
 //
+// encode_rows makes every binary code on both sides of the sign test —
+// prototypes, appends, IVF centroids and queries — so a query equal to a
+// prototype row gets exactly that row's stored code.
+//
 // Both paths multiply by the model's learned temperature scale s = 1/K so
 // their outputs are directly comparable to ZscModel::class_logits.
 //
@@ -173,8 +177,27 @@ class PrototypeStore {
   SeenPenalty resolve_penalty(float penalty,
                               const std::vector<std::uint8_t>& seen_mask) const;
 
-  /// Encode one embedding row [d] into its D-bit binary code.
+  /// Encode `n` rows [n, d] into packed D-bit codes (words_per_row() words
+  /// each, overwriting `codes`): bit j is set iff component j is negative —
+  /// of the raw row at expansion 1, else of R·row summed over k = 0…d−1 in
+  /// order, in float. A row's code never depends on its batch.
+  void encode_rows(const float* rows, std::size_t n, std::uint64_t* codes) const;
+  /// encode_rows over a [B, d] tensor into a fresh buffer.
+  std::vector<std::uint64_t> encode_rows(const tensor::Tensor& rows) const;
+  /// One row's code (a one-row encode_rows).
   hdc::BinaryHV encode_query(const float* row) const;
+
+  /// scale·(1 − 2h/D): the one Hamming→logit rule of every binary scan.
+  float hamming_logit(std::uint32_t h) const {
+    return scale_ * (1.0f - 2.0f * static_cast<float>(h) * inv_code_bits_);
+  }
+  /// Whether binary top-k may select on integer (h << 32) | label keys,
+  /// i.e. (h asc) orders like (hamming_logit desc): positive scale, D < 2²⁴,
+  /// and any active `penalty` an exact Hamming offset.
+  bool integer_select(const SeenPenalty* penalty) const {
+    return scale_ > 0.0f && code_bits_ < (std::size_t{1} << 24) &&
+           (!(penalty && penalty->active()) || penalty->integer_exact);
+  }
 
   /// L2-normalized float rows, row-major with leading dimension dim() —
   /// valid for the visible prefix [0, n_classes()). The slab may extend
@@ -213,17 +236,18 @@ class PrototypeStore {
   std::size_t words_per_row_ = 0;
   std::uint64_t lsh_seed_ = 0;
   float scale_ = 1.0f;
+  float inv_code_bits_ = 1.0f;     // 1/D, the hamming_logit factor
   std::size_t capacity_rows_ = 0;  // rows the slabs can hold
   tensor::Tensor float_plane_;     // [capacity, d] slab; rows [0, C) visible
-  tensor::Tensor projection_;      // [D, d] Rademacher (empty when expansion == 1)
+  tensor::Tensor projection_t_;    // Rademacher Rᵀ [d, D] (empty when expansion == 1)
   /// Packed slab [capacity * words_per_row]; shared across appended values.
   std::shared_ptr<std::vector<std::uint64_t>> packed_plane_;
   /// Rows claimed in the shared slabs (>= any sharing value's n_classes_);
   /// appenders CAS n_classes_ -> n_classes_ + n to claim the tail in place.
   std::shared_ptr<std::atomic<std::size_t>> committed_;
 
-  void init_planes(std::size_t rows);
-  void pack_rows_into(const tensor::Tensor& rows, std::size_t first_row, std::size_t n_rows);
+  /// Code geometry from dim_ and `expansion`; regenerates R from lsh_seed_.
+  void init_geometry(std::size_t expansion);
 };
 
 }  // namespace hdczsc::serve

@@ -168,38 +168,27 @@ std::vector<std::vector<TopK>> ShardedPrototypeStore::topk_binary(
   const std::size_t batch = embeddings.size(0);
   if (k == 0) return std::vector<std::vector<TopK>>(batch);
   const bool penalized = penalty && penalty->active();
+  const PrototypeStore& store = *base_;
 
   // Encode every query once, up front, into one contiguous packed buffer
   // (the query-blocked kernel reads them side by side).
-  const std::size_t wpr = base_->words_per_row();
-  std::vector<std::uint64_t> qwords(batch * wpr);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const hdc::BinaryHV q = base_->encode_query(embeddings.data() + b * base_->dim());
-    std::copy(q.words().begin(), q.words().end(), qwords.begin() + b * wpr);
-  }
-
-  const std::uint64_t* packed = base_->packed_data();
-  const float scale = base_->scale();
-  const float inv_d = 1.0f / static_cast<float>(base_->code_bits());
+  const std::size_t wpr = store.words_per_row();
+  const std::vector<std::uint64_t> qwords = store.encode_rows(embeddings);
+  const std::uint64_t* packed = store.packed_data();
 
   // Scatter: each shard sweeps its (cache-resident) word range once for
   // the whole query batch — hamming_many_packed_multi loads every
   // prototype row once per 4-query block — then folds the shard's distance
   // buffer into per-query candidate slots. Selection compares in the same
-  // scale·(1 − 2h/D) float domain score_binary materializes, so gathered
-  // scores are bit-identical to the flat path.
+  // hamming_logit domain score_binary materializes, so gathered scores are
+  // bit-identical to the flat path.
   const std::size_t n_sh = shards_.size();
   std::vector<TopK> cand(n_sh * batch * k);
   std::vector<std::uint32_t> cand_n(n_sh * batch, 0);
-  // Integer-domain selection is order-identical to the float logits while
-  // distinct Hamming counts cannot round to the same score (see
-  // BoundedTopKHamming); pathological widths take the float-domain loop.
-  // A calibrated-stacking penalty joins the integer domain only when it is
-  // an exact Hamming offset (SeenPenalty::integer_exact, which also
-  // guarantees h + Δ stays inside the < 2²⁴ float-exact range); any other
-  // handicap forces the float-domain loop with subtract-form scores.
-  const bool integer_select = scale > 0.0f && base_->code_bits() < (std::size_t{1} << 24) &&
-                              (!penalized || penalty->integer_exact);
+  // Integer-domain selection (see PrototypeStore::integer_select and
+  // BoundedTopKHamming); otherwise the float-domain loop with
+  // subtract-form scores.
+  const bool integer_select = store.integer_select(penalty);
   std::vector<std::uint64_t> keys(integer_select ? n_sh * batch * k : 0);
   // Cross-shard cutoff hints, one per query: the first shard to fill its
   // heap publishes its k-th best key, and every shard scanning that query
@@ -266,23 +255,18 @@ std::vector<std::vector<TopK>> ShardedPrototypeStore::topk_binary(
                    !hints[b].compare_exchange_weak(seen, cut, std::memory_order_relaxed)) {
             }
             const std::uint64_t* kept = keys.data() + (s * batch + b) * k;
-            for (std::size_t i = 0; i < local.size(); ++i) {
-              const auto hv = static_cast<float>(kept[i] >> 32);
+            for (std::size_t i = 0; i < local.size(); ++i)
               slot[i] = TopK{static_cast<std::size_t>(kept[i] & 0xffffffffu),
-                             scale * (1.0f - 2.0f * hv * inv_d)};
-            }
+                             store.hamming_logit(static_cast<std::uint32_t>(kept[i] >> 32))};
             cand_n[s * batch + b] = static_cast<std::uint32_t>(local.size());
           } else {
             BoundedTopK local(slot, k);
             if (adj) {
               for (std::size_t i = 0; i < rows; ++i)
-                local.offer(
-                    TopK{sh.begin + i,
-                         scale * (1.0f - 2.0f * static_cast<float>(hb[i]) * inv_d) - adj[i]});
+                local.offer(TopK{sh.begin + i, store.hamming_logit(hb[i]) - adj[i]});
             } else {
               for (std::size_t i = 0; i < rows; ++i)
-                local.offer(TopK{sh.begin + i,
-                                 scale * (1.0f - 2.0f * static_cast<float>(hb[i]) * inv_d)});
+                local.offer(TopK{sh.begin + i, store.hamming_logit(hb[i])});
             }
             cand_n[s * batch + b] = static_cast<std::uint32_t>(local.size());
           }

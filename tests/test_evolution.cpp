@@ -179,6 +179,30 @@ TEST(Evolution, AppendedEngineIsBitwiseAColdRebuild) {
                         "live append vs cold rebuild");
 }
 
+TEST(Evolution, AppendedCancellingRowEncodesExactlyAsInAColdBuild) {
+  // A row whose sign-LSH projections cancel to within float rounding: every
+  // component is ±1e8 ∓ 1e8 plus a ±1 that a float sum absorbs. Its code
+  // must not depend on whether it is appended alone or built with the rest.
+  constexpr std::size_t kD = 64, kRows = 64;
+  util::Rng rng(0xADD5ULL);
+  Tensor rows = Tensor::randn({kRows, kD}, rng);
+  float* adv = rows.data() + (kRows - 1) * kD;
+  std::fill(adv, adv + kD, 0.0f);
+  adv[0] = 1e8f;
+  adv[1] = -1.0f;
+  adv[2] = -1e8f;
+  Tensor head({kRows - 1, kD}), tail({1, kD});
+  std::copy(rows.data(), rows.data() + head.numel(), head.data());
+  std::copy(adv, adv + kD, tail.data());
+
+  const serve::PrototypeStore cold(rows, 4.0f, /*expansion=*/2);
+  const serve::PrototypeStore grown =
+      serve::PrototypeStore(head, 4.0f, /*expansion=*/2).append_rows(tail);
+  ASSERT_EQ(grown.n_classes(), kRows);
+  EXPECT_EQ(grown.packed_copy(), cold.packed_copy());
+  EXPECT_EQ(grown.encode_query(adv), grown.binary_prototype(kRows - 1));
+}
+
 // -- delta chains -------------------------------------------------------------
 
 TEST(Evolution, DeltaChainAppliesAndCompactsBitwise) {
