@@ -12,13 +12,17 @@
 //                re-scores), recall measured against the exact float top-10.
 //  * defaults  — the serving defaults (nprobe = Cc/8, rerank = 4): the
 //                recall@10 and exact-float-vs-cascade speedup quoted in the
-//                acceptance gates.
+//                acceptance gates. The exact float scan and the default
+//                cascade are timed alternately in one loop (max(5, reps)
+//                rounds, each round's ratio printed), so host drift hits
+//                both sides; the speedup is the ratio of their medians.
 //
 // Gates (defaults keep local / sanitizer runs informational):
 //   --min-recall=R    floor on cascade recall@10 at the serving defaults
 //                     (CI passes 0.99).
-//   --min-speedup=X   floor on the exact-float / cascade latency ratio at
-//                     the serving defaults (CI passes 3.0 at 250k classes).
+//   --min-speedup=X   floor on the median exact-float / median cascade
+//                     latency ratio at the serving defaults (CI passes 3.0
+//                     at 250k classes).
 //
 //   ./bench_ann_retrieval [--classes=1000000] [--dim=64] [--expansion=4]
 //                         [--queries=128] [--k=10] [--rerank=4] [--reps=3]
@@ -52,6 +56,12 @@ double best_seconds(Fn&& fn, std::size_t reps) {
     best = std::min(best, t.seconds());
   }
   return best;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 /// Mean recall@k of `got` against the exact top-k `want`.
@@ -138,12 +148,20 @@ int main(int argc, char** argv) {
   // -- exact baselines: ground truth + the speedup denominator ---------------
   const serve::ShardedPrototypeStore sharded(store, 16);
   const auto truth = sharded.topk_float(emb, k);
-  const double exact_float_ms =
-      1e3 * best_seconds([&] { sharded.topk_float(emb, k); }, reps);
+  // Exact float vs. the default cascade, alternating (see file comment).
+  const std::size_t gate_reps = std::max<std::size_t>(5, reps);
+  std::vector<double> exact_runs, cascade_runs;
+  for (std::size_t r = 0; r < gate_reps; ++r) {
+    exact_runs.push_back(1e3 * best_seconds([&] { sharded.topk_float(emb, k); }, 1));
+    cascade_runs.push_back(1e3 * best_seconds([&] { ivf.topk_cascade(emb, k, 0, rerank); }, 1));
+    std::printf("gate round %zu: exact float %.2f ms, cascade %.2f ms, ratio %.2fx\n", r + 1,
+                exact_runs.back(), cascade_runs.back(), exact_runs.back() / cascade_runs.back());
+  }
+  const double exact_float_ms = median(exact_runs);
   const double exact_binary_ms =
       1e3 * best_seconds([&] { sharded.topk_binary(emb, k); }, reps);
   const double binary_ceiling = recall_at_k(sharded.topk_binary(emb, k), truth);
-  std::printf("exact sharded scan, %zu queries: float %.1f ms, binary %.1f ms "
+  std::printf("exact sharded scan, %zu queries: float %.1f ms (median), binary %.1f ms "
               "(binary recall ceiling %.4f)\n",
               n_queries, exact_float_ms, exact_binary_ms, binary_ceiling);
 
@@ -177,15 +195,14 @@ int main(int argc, char** argv) {
   sweep_table.print();
 
   // -- the serving defaults: the gated numbers -------------------------------
-  const double default_ms =
-      1e3 * best_seconds([&] { ivf.topk_cascade(emb, k, 0, rerank); }, reps);
+  const double default_ms = median(cascade_runs);
   const double default_recall = recall_at_k(ivf.topk_cascade(emb, k, 0, rerank), truth);
   const double default_speedup = exact_float_ms / default_ms;
   const auto stats = ivf.probe_stats();
   const double prune_rate =
       stats.rows_swept ? static_cast<double>(stats.rows_pruned) / stats.rows_swept : 0.0;
-  std::printf("defaults (nprobe=%zu, rerank=%zu): cascade %.1f ms, recall@%zu %.4f, "
-              "%.2fx over exact float; early-exit pruned %.1f%% of swept rows\n",
+  std::printf("defaults (nprobe=%zu, rerank=%zu): median cascade %.1f ms, recall@%zu %.4f, "
+              "%.2fx over median exact float; early-exit pruned %.1f%% of swept rows\n",
               ivf.default_nprobe(), rerank, default_ms, k, default_recall, default_speedup,
               100.0 * prune_rate);
 
@@ -220,8 +237,8 @@ int main(int argc, char** argv) {
     std::fprintf(j, "  ],\n");
     std::fprintf(j,
                  "  \"defaults\": {\"cascade_ms\": %.3f, \"recall\": %.5f, "
-                 "\"speedup\": %.3f, \"prune_rate\": %.4f}\n",
-                 default_ms, default_recall, default_speedup, prune_rate);
+                 "\"speedup\": %.3f, \"prune_rate\": %.4f, \"gate_rounds\": %zu}\n",
+                 default_ms, default_recall, default_speedup, prune_rate, gate_reps);
     std::fprintf(j, "}\n");
     std::fclose(j);
     std::printf("\nwrote %s\n", json_path.c_str());

@@ -34,6 +34,11 @@
 // throughput delta — the "metrics must not distort the p99 they report"
 // acceptance number (target ≤ 3 %).
 //
+// Exit status: non-zero when either bitwise check fails — the sharded S=4
+// binary top-k against the flat argsort, or the penalized top-k against the
+// penalized argsort. Both are noise-free; the throughput PASS/FAIL rows are
+// informational.
+//
 // --json=PATH writes every measured number as a machine-readable JSON
 // document (the BENCH_serving.json CI artifact); --metrics-json=PATH
 // additionally dumps every metric the instrumented storm registered
@@ -715,6 +720,14 @@ int main(int argc, char** argv) {
     const std::string mpath = args.get_str("metrics-json", "metrics.json");
     obs::dump_metrics_file(mpath);
     std::printf("wrote %s\n", mpath.c_str());
+  }
+  // The two bitwise exactness checks are noise-free, so they gate the exit
+  // code; the throughput PASS/FAIL rows above stay informational.
+  if (!sharded_exact || !gzsl_exact) {
+    std::fprintf(stderr, "FAIL: %s\n",
+                 !sharded_exact ? "sharded binary top-k differs from the flat argsort"
+                                : "penalized top-k differs from the penalized argsort");
+    return 1;
   }
   return 0;
 }

@@ -7,7 +7,7 @@
 
 #include "hdc/hypervector.hpp"
 #include "obs/metrics.hpp"
-#include "serve/topk_select.hpp"
+#include "serve/topk_scan.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "util/parallel.hpp"
@@ -16,9 +16,6 @@
 namespace hdczsc::serve {
 
 namespace {
-
-using detail::BoundedTopKHamming;
-using BoundedTopKFloat = detail::BoundedTopK<TopK>;
 
 /// Rows per k-means assignment chunk: bounds the gathered-row and dot
 /// scratch to a few MB regardless of store size, and gives the worker pool
@@ -31,149 +28,6 @@ constexpr std::size_t kAssignChunk = 1024;
 std::size_t auto_prefix_words(std::size_t words_per_row) {
   return words_per_row <= 2 ? words_per_row
                             : std::max<std::size_t>(1, words_per_row / 4);
-}
-
-/// Per-query scratch for the probed-list scans, sized to the longest
-/// inverted list so every list reuses the same three blocks.
-struct ScanScratch {
-  std::vector<std::uint32_t> hpre;       // batched prefix Hamming counts
-  std::vector<std::uint32_t> hsuf;       // batched suffix counts (dense pass)
-  std::vector<std::uint32_t> survivors;  // in-list indices that beat the bound
-  explicit ScanScratch(std::size_t max_list)
-      : hpre(max_list), hsuf(max_list), survivors(max_list) {}
-};
-
-/// One query's early-exit sweep over the probed lists in the integer key
-/// domain — shared by the IVF binary path and the cascade prefilter. Per
-/// list: one batched popcount sweep over the contiguous prefix block, the
-/// admissible prune against the heap threshold (a prefix count above it
-/// cannot complete to a kept key, the suffix only adds; equality survives
-/// for the label tie-break), then a suffix pass over the survivors.
-///
-/// The suffix pass is adaptive: a dense survivor set (prune barely firing,
-/// the common case when the heap bound sits among cluster-mates) takes one
-/// batched sweep over the list's whole contiguous suffix block, amortizing
-/// the kernel dispatch that a row-at-a-time loop pays per survivor; a
-/// sparse set reads only the survivors' suffix words, re-testing against
-/// the live bound as it tightens. Either way the offered keys are
-/// identical — the heap drops anything at or above its bound — so the
-/// choice moves scan cost only, never results.
-void scan_probed_lists(const std::uint64_t* qw, const std::vector<std::uint32_t>& probes,
-                       const std::vector<std::size_t>& list_offsets,
-                       const std::vector<std::uint32_t>& list_rows,
-                       const std::vector<std::uint64_t>& codes_prefix,
-                       const std::vector<std::uint64_t>& codes_suffix, std::size_t wp,
-                       std::size_t ws, const std::uint32_t* row_offset,
-                       BoundedTopKHamming& heap, ScanScratch& scratch, std::uint64_t& swept,
-                       std::uint64_t& pruned) {
-  std::uint32_t* hpre = scratch.hpre.data();
-  std::uint32_t* hsuf = scratch.hsuf.data();
-  std::uint32_t* survivors = scratch.survivors.data();
-  for (std::uint32_t c : probes) {
-    const std::size_t off = list_offsets[c];
-    const std::size_t len = list_offsets[c + 1] - off;
-    if (len == 0) continue;
-    swept += len;
-    hdc::hamming_many_packed(qw, codes_prefix.data() + off * wp, len, wp, hpre);
-    if (row_offset) {
-      // Fold the GZSL handicap into the prefix counts up front: the prune
-      // bound, the heap keys and the score conversion then all see one
-      // consistent h + Δ integer domain.
-      for (std::size_t i = 0; i < len; ++i) hpre[i] += row_offset[list_rows[off + i]];
-    }
-    const std::uint32_t t0 = heap.threshold();
-    std::size_t n_sur = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      if (hpre[i] > t0)
-        ++pruned;
-      else
-        survivors[n_sur++] = static_cast<std::uint32_t>(i);
-    }
-    if (n_sur == 0) continue;
-    if (ws == 0) {
-      for (std::size_t s = 0; s < n_sur; ++s) {
-        const std::uint32_t i = survivors[s];
-        heap.offer(hpre[i], list_rows[off + i]);
-      }
-    } else if (3 * n_sur > len) {
-      hdc::hamming_many_packed(qw + wp, codes_suffix.data() + off * ws, len, ws, hsuf);
-      for (std::size_t s = 0; s < n_sur; ++s) {
-        const std::uint32_t i = survivors[s];
-        heap.offer(hpre[i] + hsuf[i], list_rows[off + i]);
-      }
-    } else {
-      for (std::size_t s = 0; s < n_sur; ++s) {
-        const std::uint32_t i = survivors[s];
-        // The bound keeps tightening as rows land; re-test before paying
-        // for this row's suffix words.
-        if (hpre[i] > heap.threshold()) {
-          ++pruned;
-          continue;
-        }
-        std::uint32_t hs = 0;
-        hdc::hamming_many_packed(qw + wp, codes_suffix.data() + (off + i) * ws, 1, ws, &hs);
-        heap.offer(hpre[i] + hs, list_rows[off + i]);
-      }
-    }
-  }
-}
-
-/// Full-width variant for the float-domain fallbacks: no admissible bound
-/// exists there, every row's complete count is needed, so the suffix sweep
-/// is always batched. Calls `emit(global_row, h)` per row in list order.
-template <typename Emit>
-void scan_probed_lists_full(const std::uint64_t* qw, const std::vector<std::uint32_t>& probes,
-                            const std::vector<std::size_t>& list_offsets,
-                            const std::vector<std::uint32_t>& list_rows,
-                            const std::vector<std::uint64_t>& codes_prefix,
-                            const std::vector<std::uint64_t>& codes_suffix, std::size_t wp,
-                            std::size_t ws, ScanScratch& scratch, std::uint64_t& swept,
-                            Emit&& emit) {
-  std::uint32_t* hpre = scratch.hpre.data();
-  std::uint32_t* hsuf = scratch.hsuf.data();
-  for (std::uint32_t c : probes) {
-    const std::size_t off = list_offsets[c];
-    const std::size_t len = list_offsets[c + 1] - off;
-    if (len == 0) continue;
-    swept += len;
-    hdc::hamming_many_packed(qw, codes_prefix.data() + off * wp, len, wp, hpre);
-    if (ws)
-      hdc::hamming_many_packed(qw + wp, codes_suffix.data() + off * ws, len, ws, hsuf);
-    for (std::size_t i = 0; i < len; ++i)
-      emit(list_rows[off + i], ws ? hpre[i] + hsuf[i] : hpre[i]);
-  }
-}
-
-/// Process-wide probe/prune telemetry in obs::default_registry(), the
-/// approximate-tier mirror of the serve_shard_* counters. Magic statics so
-/// the hot loops pay one pointer load, no registry lookups.
-obs::Counter& ivf_centroids_probed_total() {
-  static const std::shared_ptr<obs::Counter> c = obs::default_registry().counter(
-      "serve_ivf_centroids_probed_total", {}, "inverted lists opened by IVF probes");
-  return *c;
-}
-obs::Counter& ivf_rows_swept_total() {
-  static const std::shared_ptr<obs::Counter> c = obs::default_registry().counter(
-      "serve_ivf_rows_swept_total", {}, "prototype rows prefix-scored by IVF scans");
-  return *c;
-}
-obs::Counter& ivf_rows_pruned_total() {
-  static const std::shared_ptr<obs::Counter> c = obs::default_registry().counter(
-      "serve_ivf_rows_pruned_total", {},
-      "rows early-exited by the Hamming prefix bound before their suffix was read");
-  return *c;
-}
-obs::Counter& ivf_rows_reranked_total() {
-  static const std::shared_ptr<obs::Counter> c = obs::default_registry().counter(
-      "serve_ivf_rows_reranked_total", {}, "binary candidates re-scored in float by the cascade");
-  return *c;
-}
-
-void check_embeddings(const tensor::Tensor& embeddings, std::size_t dim, const char* what) {
-  if (embeddings.dim() != 2 || embeddings.size(1) != dim)
-    throw std::invalid_argument(std::string("IvfIndex::") + what + ": need [B, " +
-                                std::to_string(dim) + "] embeddings, got " +
-                                tensor::shape_str(embeddings.shape()));
 }
 
 }  // namespace
@@ -342,8 +196,6 @@ void IvfIndex::build_lists() {
   std::vector<std::size_t> cursor(list_offsets_.begin(), list_offsets_.end() - 1);
   for (std::size_t r = 0; r < rows; ++r)
     list_rows_[cursor[assignments_[r]]++] = static_cast<std::uint32_t>(r);
-  max_list_ = 0;
-  for (std::size_t c = 0; c < cc; ++c) max_list_ = std::max(max_list_, counts[c]);
   repack_codes();
 }
 
@@ -374,304 +226,134 @@ std::size_t IvfIndex::resolve_nprobe(std::size_t nprobe) const {
   return std::clamp<std::size_t>(nprobe, 1, n_centroids());
 }
 
-std::vector<std::uint32_t> IvfIndex::probe_float(const float* dots,
-                                                 std::size_t nprobe) const {
+std::vector<std::uint32_t> IvfIndex::probe(const float* dots, const std::uint64_t* code,
+                                           std::size_t nprobe) const {
   const std::size_t cc = n_centroids();
+  // Closeness as one float per centroid: the dot, or −h (exact for
+  // h < 2²⁴), so both domains rank by (closeness desc, id asc).
+  std::vector<float> negh(dots ? 0 : cc);
+  if (!dots) {
+    std::vector<std::uint32_t> h(cc);
+    hdc::hamming_many_packed(code, centroid_codes_.data(), cc, base_->words_per_row(), h.data());
+    for (std::size_t c = 0; c < cc; ++c) negh[c] = -static_cast<float>(h[c]);
+  }
+  const float* close = dots ? dots : negh.data();
   std::vector<std::uint32_t> ids(cc);
   std::iota(ids.begin(), ids.end(), 0u);
   std::partial_sort(ids.begin(), ids.begin() + nprobe, ids.end(),
-                    [dots](std::uint32_t a, std::uint32_t b) {
-                      if (dots[a] != dots[b]) return dots[a] > dots[b];
-                      return a < b;
-                    });
-  ids.resize(nprobe);
-  return ids;
-}
-
-std::vector<std::uint32_t> IvfIndex::probe_binary(const std::uint64_t* qwords,
-                                                  std::size_t nprobe) const {
-  const std::size_t cc = n_centroids();
-  const std::size_t wpr = base_->words_per_row();
-  std::vector<std::uint32_t> h(cc);
-  hdc::hamming_many_packed(qwords, centroid_codes_.data(), cc, wpr, h.data());
-  std::vector<std::uint32_t> ids(cc);
-  std::iota(ids.begin(), ids.end(), 0u);
-  std::partial_sort(ids.begin(), ids.begin() + nprobe, ids.end(),
-                    [&h](std::uint32_t a, std::uint32_t b) {
-                      if (h[a] != h[b]) return h[a] < h[b];
-                      return a < b;
+                    [close](std::uint32_t x, std::uint32_t y) {
+                      return close[x] > close[y] || (close[x] == close[y] && x < y);
                     });
   ids.resize(nprobe);
   return ids;
 }
 
 IvfIndex::ProbeStats IvfIndex::probe_stats() const {
-  ProbeStats s;
-  s.queries = counters_.queries.load(std::memory_order_relaxed);
-  s.centroids_probed = counters_.centroids_probed.load(std::memory_order_relaxed);
-  s.rows_swept = counters_.rows_swept.load(std::memory_order_relaxed);
-  s.rows_pruned = counters_.rows_pruned.load(std::memory_order_relaxed);
-  s.rows_reranked = counters_.rows_reranked.load(std::memory_order_relaxed);
-  return s;
+  const Counters& c = *counters_;
+  return {c.queries.load(std::memory_order_relaxed),
+          c.centroids_probed.load(std::memory_order_relaxed),
+          c.rows_swept.load(std::memory_order_relaxed),
+          c.rows_pruned.load(std::memory_order_relaxed),
+          c.rows_reranked.load(std::memory_order_relaxed)};
 }
 
-std::vector<std::vector<TopK>> IvfIndex::topk_float(const tensor::Tensor& embeddings,
-                                                    std::size_t k, std::size_t nprobe,
-                                                    const SeenPenalty* penalty) const {
-  check_embeddings(embeddings, base_->dim(), "topk_float");
+std::vector<std::vector<TopK>> IvfIndex::search(Scan scan, const tensor::Tensor& embeddings,
+                                                std::size_t k, std::size_t nprobe,
+                                                std::size_t rerank, const SeenPenalty* penalty,
+                                                const char* who) const {
+  detail::check_embeddings(*base_, embeddings, who);
   const std::size_t batch = embeddings.size(0);
   std::vector<std::vector<TopK>> out(batch);
   if (k == 0 || batch == 0) return out;
 
-  const std::size_t d = base_->dim();
-  const std::size_t cc = n_centroids();
-  const std::size_t np = resolve_nprobe(nprobe);
-  const float scale = base_->scale();
-  const tensor::Tensor e_hat = tensor::l2_normalize_rows(embeddings);
-  const float* E = e_hat.data();
-  const float* P = base_->float_rows();
-  const bool penalized = penalty && penalty->active();
-  const std::size_t kk = std::min(k, n_rows());
+  const tensor::Tensor unit =
+      scan == Scan::kBinary ? tensor::Tensor() : tensor::l2_normalize_rows(embeddings);
+  const std::vector<std::uint64_t> codes =
+      scan == Scan::kFloat ? std::vector<std::uint64_t>() : base_->encode_rows(embeddings);
+  const detail::ScanQueries fq{batch, scan == Scan::kBinary ? nullptr : unit.data(), nullptr};
+  const detail::ScanQueries bq{batch, nullptr, codes.data()};
+  const std::size_t cc = n_centroids(), d = base_->dim(), wpr = base_->words_per_row();
+  const std::size_t np = resolve_nprobe(nprobe), kk = std::min(k, n_rows());
+  // Float probes rank centroids for the whole batch in one GEMM.
+  std::vector<float> dots(fq.unit ? batch * cc : 0, 0.0f);
+  if (fq.unit)
+    tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, batch, cc, d, fq.unit, d,
+                            centroids_.data(), d, dots.data(), cc);
+  // The cascade prefilter folds an integer-exact handicap in; any other
+  // one is left to the float rerank (the prefilter then ranks unpenalized
+  // Hamming keys).
+  const SeenPenalty* pre = penalty && penalty->integer_exact ? penalty : nullptr;
+  std::atomic<std::uint64_t> swept{0}, pruned{0}, reranked{0};
 
-  // Probe: one [B, Cc] dot block against the centroids for the whole batch.
-  std::vector<float> cdots(batch * cc, 0.0f);
-  tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, batch, cc, d, E, d,
-                          centroids_.data(), d, cdots.data(), cc);
-
+  // One task per query: probe, scan the probed lists, and for the cascade
+  // rerank the survivors — each scan a per-query plan for the executor.
   util::parallel_for(
       0, batch,
       [&](std::size_t b) {
-        const std::vector<std::uint32_t> probes = probe_float(cdots.data() + b * cc, np);
-        const float* erow = E + b * d;
-        std::uint64_t swept = 0;
-        std::vector<TopK> slots(kk);
-        BoundedTopKFloat heap(slots.data(), kk);
-        for (std::uint32_t c : probes) {
-          const std::size_t off = list_offsets_[c];
-          const std::size_t len = list_offsets_[c + 1] - off;
-          swept += len;
-          for (std::size_t i = 0; i < len; ++i) {
-            const std::size_t row = list_rows_[off + i];
-            // Double-accumulated row dot — the exact summation the naive
-            // GEMM kernel (tensor/gemm.cpp N×T path) performs, so a full
-            // probe reproduces the exact path's scores bit-for-bit
-            // wherever that kernel runs.
-            const float* prow = P + row * d;
-            double acc = 0.0;
-            for (std::size_t j = 0; j < d; ++j) acc += erow[j] * prow[j];
-            float s = scale * static_cast<float>(acc);
-            if (penalized) s -= penalty->row_penalty[row];
-            heap.offer(TopK{row, s});
-          }
-        }
-        std::vector<TopK>& merged = out[b];
-        merged.assign(slots.begin(), slots.begin() + heap.size());
-        std::sort(merged.begin(), merged.end(), detail::better<TopK>);
-        counters_.queries.fetch_add(1, std::memory_order_relaxed);
-        counters_.centroids_probed.fetch_add(probes.size(), std::memory_order_relaxed);
-        counters_.rows_swept.fetch_add(swept, std::memory_order_relaxed);
-        ivf_centroids_probed_total().add(probes.size());
-        ivf_rows_swept_total().add(swept);
-      },
-      /*grain=*/1);
-  return out;
-}
-
-std::vector<std::vector<TopK>> IvfIndex::topk_binary(const tensor::Tensor& embeddings,
-                                                     std::size_t k, std::size_t nprobe,
-                                                     const SeenPenalty* penalty) const {
-  check_embeddings(embeddings, base_->dim(), "topk_binary");
-  const std::size_t batch = embeddings.size(0);
-  std::vector<std::vector<TopK>> out(batch);
-  if (k == 0 || batch == 0) return out;
-
-  const PrototypeStore& store = *base_;
-  const std::size_t np = resolve_nprobe(nprobe);
-  const std::size_t wpr = store.words_per_row();
-  const std::size_t wp = prefix_words_;
-  const std::size_t ws = wpr - wp;
-  const bool penalized = penalty && penalty->active();
-  const std::size_t kk = std::min(k, n_rows());
-  // Same integer-domain precondition as the exact sharded scan: integer
-  // keys — and with them the early exit — need the (h asc, label asc)
-  // order to coincide with (score desc, label asc).
-  const bool integer_select = store.integer_select(penalty);
-  const std::vector<std::uint64_t> qwords = store.encode_rows(embeddings);
-
-  util::parallel_for(
-      0, batch,
-      [&](std::size_t b) {
-        const std::uint64_t* qw = qwords.data() + b * wpr;
-        const std::vector<std::uint32_t> probes = probe_binary(qw, np);
-        std::uint64_t swept = 0, pruned = 0;
-        ScanScratch scratch(max_list_);
-        std::vector<TopK>& merged = out[b];
-
-        if (integer_select) {
-          std::vector<std::uint64_t> keys(kk);
-          BoundedTopKHamming heap(keys.data(), kk, ~std::uint64_t{0});
-          scan_probed_lists(qw, probes, list_offsets_, list_rows_, codes_prefix_,
-                            codes_suffix_, wp, ws,
-                            penalized ? penalty->row_offset.data() : nullptr, heap, scratch,
-                            swept, pruned);
-          // Ascending keys == (h asc, label asc) == (score desc, label asc)
-          // under the integer-select precondition — the exact gather order.
-          std::sort(keys.begin(), keys.begin() + heap.size());
-          merged.resize(heap.size());
-          for (std::size_t i = 0; i < heap.size(); ++i)
-            merged[i] = TopK{static_cast<std::size_t>(keys[i] & 0xffffffffu),
-                             store.hamming_logit(static_cast<std::uint32_t>(keys[i] >> 32))};
-        } else {
-          // Float-domain fallback (pathological widths, non-positive
-          // scale, or a non-integer GZSL handicap): full-width scan,
-          // subtract-form scores — exactly the exact path's fallback. No
-          // early exit: without integer keys there is no admissible
-          // integer bound to prune on.
-          const float* adj = penalized ? penalty->row_penalty.data() : nullptr;
-          std::vector<TopK> slots(kk);
-          BoundedTopKFloat heap(slots.data(), kk);
-          scan_probed_lists_full(qw, probes, list_offsets_, list_rows_, codes_prefix_,
-                                 codes_suffix_, wp, ws, scratch, swept,
-                                 [&](std::uint32_t row, std::uint32_t h) {
-                                   if (adj) {
-                                     heap.offer(TopK{row, store.hamming_logit(h) - adj[row]});
-                                   } else {
-                                     heap.offer(TopK{row, store.hamming_logit(h)});
-                                   }
-                                 });
-          merged.assign(slots.begin(), slots.begin() + heap.size());
-          std::sort(merged.begin(), merged.end(), detail::better<TopK>);
-        }
-
-        counters_.queries.fetch_add(1, std::memory_order_relaxed);
-        counters_.centroids_probed.fetch_add(probes.size(), std::memory_order_relaxed);
-        counters_.rows_swept.fetch_add(swept, std::memory_order_relaxed);
-        counters_.rows_pruned.fetch_add(pruned, std::memory_order_relaxed);
-        ivf_centroids_probed_total().add(probes.size());
-        ivf_rows_swept_total().add(swept);
-        ivf_rows_pruned_total().add(pruned);
-      },
-      /*grain=*/1);
-  return out;
-}
-
-std::vector<std::vector<TopK>> IvfIndex::topk_cascade(const tensor::Tensor& embeddings,
-                                                      std::size_t k, std::size_t nprobe,
-                                                      std::size_t rerank,
-                                                      const SeenPenalty* penalty) const {
-  check_embeddings(embeddings, base_->dim(), "topk_cascade");
-  const std::size_t batch = embeddings.size(0);
-  std::vector<std::vector<TopK>> out(batch);
-  if (k == 0 || batch == 0) return out;
-
-  const std::size_t d = base_->dim();
-  const std::size_t cc = n_centroids();
-  const std::size_t np = resolve_nprobe(nprobe);
-  const std::size_t wpr = base_->words_per_row();
-  const std::size_t wp = prefix_words_;
-  const std::size_t ws = wpr - wp;
-  const float scale = base_->scale();
-  const bool penalized = penalty && penalty->active();
-  const std::size_t kk = std::min(k, n_rows());
-  // The prefilter ranks raw integer Hamming keys; an integer-exact GZSL
-  // handicap folds in, any other handicap is applied only by the float
-  // rerank (the prefilter then ranks unpenalized — documented contract), so
-  // the integer-key test ignores the penalty.
-  const bool integer_keys = base_->integer_select(nullptr);
-  const bool fold_offsets = penalized && penalty->integer_exact;
-
-  const tensor::Tensor e_hat = tensor::l2_normalize_rows(embeddings);
-  const float* E = e_hat.data();
-  const float* P = base_->float_rows();
-
-  // Probe in the float domain (the rerank needs e_hat anyway).
-  std::vector<float> cdots(batch * cc, 0.0f);
-  tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, batch, cc, d, E, d,
-                          centroids_.data(), d, cdots.data(), cc);
-
-  const std::vector<std::uint64_t> qwords = base_->encode_rows(embeddings);
-
-  util::parallel_for(
-      0, batch,
-      [&](std::size_t b) {
-        const std::vector<std::uint32_t> probes = probe_float(cdots.data() + b * cc, np);
-        const std::uint64_t* qw = qwords.data() + b * wpr;
-        const float* erow = E + b * d;
-        std::uint64_t swept = 0, pruned = 0;
-
+        detail::ScanPlan plan;
+        plan.labels = list_rows_.data();
+        plan.prefix = codes_prefix_.data();
+        plan.wp = prefix_words_;
+        plan.suffix = codes_suffix_.data();
+        plan.ws = wpr - prefix_words_;
+        plan.ranges.reserve(np);
         std::size_t total = 0;
-        for (std::uint32_t c : probes) total += list_offsets_[c + 1] - list_offsets_[c];
-        // rerank == 0 is the unbounded sentinel; a budget covering every
-        // probed row skips the prefilter outright — with nprobe == Cc that
-        // is exactly the exact float top-k.
-        const std::size_t kprime =
-            (rerank == 0 || rerank >= (total + kk - 1) / kk) ? total : rerank * kk;
-
-        std::vector<std::uint32_t> cands;
-        if (kprime >= total) {
-          cands.reserve(total);
-          for (std::uint32_t c : probes) {
-            const std::size_t off = list_offsets_[c];
-            const std::size_t len = list_offsets_[c + 1] - off;
-            cands.insert(cands.end(), list_rows_.begin() + off,
-                         list_rows_.begin() + off + len);
-          }
-        } else if (integer_keys) {
-          // Binary prefilter with the same early-exit scan the IVF binary
-          // path runs, k-heap bounded at rerank·k.
-          ScanScratch scratch(max_list_);
-          std::vector<std::uint64_t> keys(kprime);
-          BoundedTopKHamming heap(keys.data(), kprime, ~std::uint64_t{0});
-          scan_probed_lists(qw, probes, list_offsets_, list_rows_, codes_prefix_,
-                            codes_suffix_, wp, ws,
-                            fold_offsets ? penalty->row_offset.data() : nullptr, heap,
-                            scratch, swept, pruned);
-          cands.reserve(heap.size());
-          for (std::size_t i = 0; i < heap.size(); ++i)
-            cands.push_back(static_cast<std::uint32_t>(keys[i] & 0xffffffffu));
+        for (std::uint32_t c : probe(fq.unit ? dots.data() + b * cc : nullptr,
+                                     codes.data() + (fq.unit ? 0 : b * wpr), np)) {
+          plan.ranges.push_back({list_offsets_[c], list_offsets_[c + 1]});
+          total += list_size(c);
+        }
+        std::vector<detail::ScanTally> tally(plan.ranges.size());
+        if (scan != Scan::kCascade) {
+          out[b] = detail::scan_query(*base_, scan == Scan::kFloat ? fq : bq, b, plan, k, penalty,
+                                      tally.data());
         } else {
-          // No integer key order (non-positive scale or ≥ 2²⁴-bit codes):
-          // full-width float-domain prefilter on unpenalized binary scores.
-          ScanScratch scratch(max_list_);
-          std::vector<TopK> slots(kprime);
-          BoundedTopKFloat heap(slots.data(), kprime);
-          scan_probed_lists_full(
-              qw, probes, list_offsets_, list_rows_, codes_prefix_, codes_suffix_, wp, ws,
-              scratch, swept, [&](std::uint32_t row, std::uint32_t h) {
-                heap.offer(TopK{row, base_->hamming_logit(h)});
-              });
-          cands.reserve(heap.size());
-          for (std::size_t i = 0; i < heap.size(); ++i)
-            cands.push_back(static_cast<std::uint32_t>(slots[i].label));
+          // Prefilter only when the rerank budget (rerank·k, 0 = unbounded)
+          // is below the probed rows; otherwise rerank every probed row —
+          // with nprobe == Cc exactly the exact float top-k.
+          std::vector<std::uint32_t> cands;
+          cands.reserve(std::min(total, rerank == 0 ? total : rerank * kk));
+          if (rerank != 0 && rerank < (total + kk - 1) / kk) {
+            for (const TopK& hit :
+                 detail::scan_query(*base_, bq, b, plan, rerank * kk, pre, tally.data()))
+              cands.push_back(static_cast<std::uint32_t>(hit.label));
+          } else {
+            for (const detail::RowRange& r : plan.ranges)
+              cands.insert(cands.end(), list_rows_.begin() + r.begin, list_rows_.begin() + r.end);
+          }
+          detail::ScanPlan rescore;
+          rescore.labels = cands.data();
+          rescore.ranges.push_back({0, cands.size()});
+          out[b] = detail::scan_query(*base_, fq, b, rescore, k, penalty);
+          reranked.fetch_add(cands.size(), std::memory_order_relaxed);
         }
-
-        // Float rerank: exact cosine dots (double-accumulated, the naive
-        // GEMM summation) over the surviving candidates only.
-        std::vector<TopK> slots(kk);
-        BoundedTopKFloat final_heap(slots.data(), kk);
-        for (std::uint32_t row : cands) {
-          const float* prow = P + static_cast<std::size_t>(row) * d;
-          double acc = 0.0;
-          for (std::size_t j = 0; j < d; ++j) acc += erow[j] * prow[j];
-          float s = scale * static_cast<float>(acc);
-          if (penalized) s -= penalty->row_penalty[row];
-          final_heap.offer(TopK{row, s});
+        for (const detail::ScanTally& t : tally) {
+          swept.fetch_add(t.swept, std::memory_order_relaxed);
+          pruned.fetch_add(t.pruned, std::memory_order_relaxed);
         }
-        std::vector<TopK>& merged = out[b];
-        merged.assign(slots.begin(), slots.begin() + final_heap.size());
-        std::sort(merged.begin(), merged.end(), detail::better<TopK>);
-
-        counters_.queries.fetch_add(1, std::memory_order_relaxed);
-        counters_.centroids_probed.fetch_add(probes.size(), std::memory_order_relaxed);
-        counters_.rows_swept.fetch_add(swept, std::memory_order_relaxed);
-        counters_.rows_pruned.fetch_add(pruned, std::memory_order_relaxed);
-        counters_.rows_reranked.fetch_add(cands.size(), std::memory_order_relaxed);
-        ivf_centroids_probed_total().add(probes.size());
-        ivf_rows_swept_total().add(swept);
-        ivf_rows_pruned_total().add(pruned);
-        ivf_rows_reranked_total().add(cands.size());
       },
       /*grain=*/1);
+
+  // Process-wide totals in obs::default_registry(), the approximate-tier
+  // mirror of the serve_shard_* counters (registered once).
+  static const auto probed_total = obs::default_registry().counter(
+      "serve_ivf_centroids_probed_total", {}, "inverted lists opened by IVF probes");
+  static const auto swept_total = obs::default_registry().counter(
+      "serve_ivf_rows_swept_total", {}, "prototype rows prefix-scored by IVF scans");
+  static const auto pruned_total = obs::default_registry().counter(
+      "serve_ivf_rows_pruned_total", {},
+      "rows early-exited by the Hamming prefix bound before their suffix was read");
+  static const auto reranked_total = obs::default_registry().counter(
+      "serve_ivf_rows_reranked_total", {}, "binary candidates re-scored in float by the cascade");
+  counters_->queries.fetch_add(batch, std::memory_order_relaxed);
+  counters_->centroids_probed.fetch_add(batch * np, std::memory_order_relaxed);
+  counters_->rows_swept.fetch_add(swept, std::memory_order_relaxed);
+  counters_->rows_pruned.fetch_add(pruned, std::memory_order_relaxed);
+  counters_->rows_reranked.fetch_add(reranked, std::memory_order_relaxed);
+  probed_total->add(batch * np);
+  swept_total->add(swept);
+  pruned_total->add(pruned);
+  reranked_total->add(reranked);
   return out;
 }
 

@@ -21,10 +21,10 @@
 //     computed with the batched popcount kernel; since the suffix can only
 //     add to the count, a row whose prefix count (plus its GZSL integer
 //     offset) already exceeds the current k-heap threshold can never enter
-//     the top-k, and its suffix words are never read. The prune reuses the
-//     exact path's block-skip machinery (topk_select.hpp), so it is
-//     *admissible*: with nprobe == Cc the result is bit-identical to the
-//     exact sharded top-k, early exit and all.
+//     the top-k, and its suffix words are never read. The prune is the
+//     exact path's threshold test (topk_scan.hpp), so it is *admissible*:
+//     with nprobe == Cc the result is bit-identical to the exact sharded
+//     top-k, early exit and all.
 //
 //  3. Binary-prefilter → float-rerank cascade — the top rerank·k binary
 //     candidates from the probed lists are re-scored with exact float
@@ -33,17 +33,22 @@
 //     cost. rerank == 0 means unbounded: every probed row is reranked, so
 //     nprobe == Cc degenerates to the exact float top-k.
 //
-// All three respect the retrieval contract shared with the exact paths:
-// results ordered by (score desc, label asc), scores computed by the same
-// expressions score_float / score_binary materialize, GZSL seen-penalties
-// applied identically (integer Hamming offsets where exact, float subtract
-// form otherwise). Thread-safe after construction (telemetry is atomic);
-// the set_prefix_words test hook is the one non-const exception.
+// All three are plans for the one top-k executor (topk_scan.hpp): the
+// probed lists become per-query row ranges over the list-order codes, read
+// through the list-order row→label map, and the cascade's rerank is a
+// second plan over the prefilter's candidate rows. They therefore respect
+// the retrieval contract of the exact paths: results ordered by (score
+// desc, label asc), scores computed by the same expressions score_float /
+// score_binary materialize, GZSL seen-penalties applied identically
+// (integer Hamming offsets where exact, float subtract form otherwise).
+// Thread-safe after construction (telemetry is atomic); the
+// set_prefix_words test hook is the one non-const exception.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -130,19 +135,23 @@ class IvfIndex {
   /// ShardedPrototypeStore::topk_float.
   std::vector<std::vector<TopK>> topk_float(const tensor::Tensor& embeddings, std::size_t k,
                                             std::size_t nprobe,
-                                            const SeenPenalty* penalty = nullptr) const;
+                                            const SeenPenalty* penalty = nullptr) const {
+    return search(Scan::kFloat, embeddings, k, nprobe, 0, penalty, "IvfIndex::topk_float");
+  }
 
   /// IVF top-k on the binary-Hamming path: probe by centroid-code Hamming,
   /// then the prefix/early-exit scan over the probed lists' packed codes,
   /// selecting in the integer key domain exactly as the exact sharded scan
-  /// does (same integer-exactness preconditions; pathological widths and
-  /// non-integer GZSL handicaps take a full-width float-domain scan). With
+  /// does (a non-integer GZSL handicap takes a full-width float-domain
+  /// scan with no early exit). With
   /// nprobe == Cc the result is bit-identical to
   /// ShardedPrototypeStore::topk_binary — the early exit is admissible and
   /// never drops a true top-k row.
   std::vector<std::vector<TopK>> topk_binary(const tensor::Tensor& embeddings, std::size_t k,
                                              std::size_t nprobe,
-                                             const SeenPenalty* penalty = nullptr) const;
+                                             const SeenPenalty* penalty = nullptr) const {
+    return search(Scan::kBinary, embeddings, k, nprobe, 0, penalty, "IvfIndex::topk_binary");
+  }
 
   /// Cascade: binary-prefilter the probed lists down to rerank·k candidate
   /// rows (early-exit scan, integer keys), then re-score those candidates
@@ -154,7 +163,10 @@ class IvfIndex {
   /// exact row_penalty subtraction.
   std::vector<std::vector<TopK>> topk_cascade(const tensor::Tensor& embeddings, std::size_t k,
                                               std::size_t nprobe, std::size_t rerank,
-                                              const SeenPenalty* penalty = nullptr) const;
+                                              const SeenPenalty* penalty = nullptr) const {
+    return search(Scan::kCascade, embeddings, k, nprobe, rerank, penalty,
+                  "IvfIndex::topk_cascade");
+  }
 
   /// Cumulative probe/prune telemetry (process-lifetime totals also feed
   /// the serve_ivf_* counters in obs::default_registry()).
@@ -171,16 +183,22 @@ class IvfIndex {
  private:
   IvfIndex() = default;  // used by from_parts
 
+  enum class Scan { kFloat, kBinary, kCascade };
+  /// The three public scans: per query, probe, plan the probed lists and
+  /// run the executor (twice for the cascade); then record telemetry.
+  std::vector<std::vector<TopK>> search(Scan scan, const tensor::Tensor& embeddings,
+                                        std::size_t k, std::size_t nprobe, std::size_t rerank,
+                                        const SeenPenalty* penalty, const char* who) const;
   /// Derive list offsets/rows from assignments_ and repack the codes.
   void build_lists();
   /// Split every list row's packed words into the contiguous prefix/suffix
   /// blocks under prefix_words_.
   void repack_codes();
-  /// Probed-centroid ids for one query, nearest first: float-dot order for
-  /// the float/cascade paths, centroid-code Hamming order for binary.
-  std::vector<std::uint32_t> probe_float(const float* dots, std::size_t nprobe) const;
-  std::vector<std::uint32_t> probe_binary(const std::uint64_t* qwords,
-                                          std::size_t nprobe) const;
+  /// One query's `nprobe` probed-centroid ids, nearest first: by its
+  /// centroid `dots` when given (float/cascade), else by centroid-code
+  /// Hamming distance to its packed `code` (binary).
+  std::vector<std::uint32_t> probe(const float* dots, const std::uint64_t* code,
+                                   std::size_t nprobe) const;
 
   const PrototypeStore* base_ = nullptr;
   tensor::Tensor centroids_;                    // [Cc, d], unit rows
@@ -191,7 +209,6 @@ class IvfIndex {
   std::vector<std::uint64_t> codes_prefix_;     // [C * prefix_words_], list order
   std::vector<std::uint64_t> codes_suffix_;     // [C * suffix words], list order
   std::size_t prefix_words_ = 0;
-  std::size_t max_list_ = 0;  // longest list (scan scratch sizing)
 
   struct Counters {
     std::atomic<std::uint64_t> queries{0};
@@ -199,25 +216,8 @@ class IvfIndex {
     std::atomic<std::uint64_t> rows_swept{0};
     std::atomic<std::uint64_t> rows_pruned{0};
     std::atomic<std::uint64_t> rows_reranked{0};
-
-    // Movable so from_parts can return the index by value; moves happen
-    // only before the index is shared, never concurrently with scans.
-    Counters() = default;
-    Counters(Counters&& o) noexcept { *this = std::move(o); }
-    Counters& operator=(Counters&& o) noexcept {
-      queries.store(o.queries.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      centroids_probed.store(o.centroids_probed.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-      rows_swept.store(o.rows_swept.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-      rows_pruned.store(o.rows_pruned.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-      rows_reranked.store(o.rows_reranked.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-      return *this;
-    }
   };
-  mutable Counters counters_;
+  std::unique_ptr<Counters> counters_ = std::make_unique<Counters>();
 };
 
 }  // namespace hdczsc::serve

@@ -15,8 +15,10 @@
 //  * topk_batch()  — the top-k (label, score) hits per image via the
 //    sharded scatter/gather scan (sharded_store.hpp). With n_shards == 1
 //    the sharded store degenerates to the flat layout; either way the
-//    ranking equals the flat path's full argsort. classify_batch is the
-//    k = 1 case of the same scan, whatever the shard count.
+//    ranking equals the flat path's full argsort. Both shapes run the one
+//    top-k executor's scorers and penalty step (topk_scan.hpp).
+//    classify_batch is the k = 1 case of the same scan, whatever the shard
+//    count.
 //
 // GZSL serving: when the version carries a seen/unseen partition, the
 // calibrated-stacking penalty is subtracted from every seen-class logit on
@@ -101,8 +103,10 @@ class InferenceEngine {
  public:
   /// `n_shards` splits the prototype store into that many row-range shards
   /// for the top-k retrieval path (clamped to [1, C]; 0 means "use the
-  /// snapshot's preferred shard layout"). Sharding never changes results —
-  /// only how the scan is scattered.
+  /// snapshot's preferred shard layout"). Sharding never changes binary
+  /// results, nor the float ranking; float scores can differ in the last
+  /// bits, because each GEMM call picks its kernel by shape (see
+  /// sharded_store.hpp).
   ///
   /// `seen_penalty` is the GZSL calibrated-stacking knob (Chao et al.
   /// 2016, the serving-side form of Trainer::evaluate_gzsl): it is

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "tensor/gemm.hpp"
+#include "serve/topk_scan.hpp"
 #include "tensor/ops.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -27,7 +27,9 @@ void or_signs(const float* v, std::size_t n, std::uint64_t* words) {
 /// Sign-LSH codes of `nr` ≤ kEncodeRows rows x [nr, d] through Rᵀ [d, D],
 /// OR-ed into pre-zeroed codes. Component j is Σ R[j, k]·x[k] summed in k
 /// order from +0.0f (the scalar definition) while the j loop vectorizes.
-void project_block(const float* rt, std::size_t d, std::size_t D, const float* x,
+/// Cache-line aligned so the hot loop's placement, and with it its speed,
+/// does not move with unrelated code in the link.
+__attribute__((aligned(64))) void project_block(const float* rt, std::size_t d, std::size_t D, const float* x,
                    std::size_t nr, std::size_t wpr, std::uint64_t* codes) {
   float acc[kEncodeRows][kEncodeTile] = {};
   for (std::size_t j0 = 0; j0 < D; j0 += kEncodeTile) {
@@ -47,8 +49,17 @@ void project_block(const float* rt, std::size_t d, std::size_t D, const float* x
 
 }  // namespace
 
-void PrototypeStore::init_geometry(std::size_t expansion) {
+void PrototypeStore::init_geometry(std::size_t expansion, const char* who) {
+  // Checked before Rᵀ [d, D] is allocated: a positive finite scale and
+  // D < 2²⁴ are what make every binary scan's integer keys exact.
+  if (!std::isfinite(scale_) || !(scale_ > 0.0f))
+    throw std::invalid_argument(std::string(who) + ": scale must be finite and > 0, got " +
+                                std::to_string(scale_));
   expansion_ = expansion == 0 ? 1 : expansion;
+  if (dim_ != 0 && expansion_ > ((std::size_t{1} << 24) - 1) / dim_)
+    throw std::invalid_argument(std::string(who) + ": code width D = d·expansion = " +
+                                std::to_string(dim_) + "·" + std::to_string(expansion_) +
+                                " must be < 2^24 bits");
   code_bits_ = dim_ * expansion_;
   words_per_row_ = (code_bits_ + 63) / 64;
   inv_code_bits_ = 1.0f / static_cast<float>(code_bits_);
@@ -103,7 +114,7 @@ PrototypeStore::PrototypeStore(const tensor::Tensor& prototypes, float scale,
     throw std::invalid_argument("PrototypeStore: prototypes must be a non-empty [C, d] matrix");
   n_classes_ = prototypes.size(0);
   dim_ = prototypes.size(1);
-  init_geometry(expansion);
+  init_geometry(expansion, "PrototypeStore");
 
   // The initial slabs hold exactly the C rows (capacity == C); the first
   // append grows them geometrically.
@@ -125,7 +136,7 @@ PrototypeStore PrototypeStore::from_parts(tensor::Tensor normalized_rows,
   s.scale_ = scale;
   s.n_classes_ = normalized_rows.size(0);
   s.dim_ = normalized_rows.size(1);
-  s.init_geometry(expansion);
+  s.init_geometry(expansion, "PrototypeStore::from_parts");
   if (packed_words.size() != s.n_classes_ * s.words_per_row_)
     throw std::invalid_argument(
         "PrototypeStore::from_parts: packed words/shape disagree (" +
@@ -234,7 +245,7 @@ SeenPenalty PrototypeStore::resolve_penalty(float penalty,
   // up to one part in 2⁵³, far beyond float resolution either way. The
   // offset must also keep h + Δ ≤ D + Δ < 2²⁴, the range where distinct
   // integer scores cannot round to the same float logit.
-  if (scale_ > 0.0f && penalty > 0.0f) {
+  if (penalty > 0.0f) {
     const double delta = static_cast<double>(penalty) * static_cast<double>(code_bits_) /
                          (2.0 * static_cast<double>(scale_));
     if (delta == std::floor(delta) &&
@@ -257,62 +268,16 @@ SeenPenalty PrototypeStore::resolve_penalty(float penalty,
 
 tensor::Tensor PrototypeStore::score_float(const tensor::Tensor& embeddings,
                                            const SeenPenalty* penalty) const {
-  if (embeddings.dim() != 2 || embeddings.size(1) != dim_)
-    throw std::invalid_argument("PrototypeStore::score_float: need [B, " +
-                                std::to_string(dim_) + "] embeddings, got " +
-                                tensor::shape_str(embeddings.shape()));
-  const std::size_t batch = embeddings.size(0);
-  tensor::Tensor e_hat = tensor::l2_normalize_rows(embeddings);
-  // Zero-init + gemm_accumulate over the slab prefix is exactly what
-  // matmul_nt(e_hat, normalized) computed when the rows were a standalone
-  // [C, d] tensor — bit-identical, just with the slab as B.
-  tensor::Tensor cos({batch, n_classes_});
-  tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, batch, n_classes_, dim_,
-                          e_hat.data(), dim_, float_rows(), dim_, cos.data(), n_classes_);
-  tensor::Tensor logits = tensor::mul_scalar(cos, scale_);
-  if (penalty && penalty->active()) {
-    // Calibrated stacking, the evaluate_gzsl form: handicap the seen
-    // columns after the temperature is applied.
-    float* L = logits.data();
-    const float* adj = penalty->row_penalty.data();
-    for (std::size_t b = 0; b < logits.size(0); ++b)
-      for (std::size_t c = 0; c < n_classes_; ++c) L[b * n_classes_ + c] -= adj[c];
-  }
-  return logits;
+  detail::check_embeddings(*this, embeddings, "PrototypeStore::score_float");
+  const tensor::Tensor unit = tensor::l2_normalize_rows(embeddings);
+  return detail::scan_logits(*this, {embeddings.size(0), unit.data(), nullptr}, penalty);
 }
 
 tensor::Tensor PrototypeStore::score_binary(const tensor::Tensor& embeddings,
                                             const SeenPenalty* penalty) const {
-  if (embeddings.dim() != 2 || embeddings.size(1) != dim_)
-    throw std::invalid_argument("PrototypeStore::score_binary: need [B, " +
-                                std::to_string(dim_) + "] embeddings, got " +
-                                tensor::shape_str(embeddings.shape()));
-  const std::size_t batch = embeddings.size(0);
-  tensor::Tensor logits({batch, n_classes_});
-  float* L = logits.data();
-  const std::vector<std::uint64_t> qwords = encode_rows(embeddings);
-  std::vector<std::uint32_t> h(n_classes_);
-  const bool penalized = penalty && penalty->active();
-  const std::uint32_t* off =
-      penalized && penalty->integer_exact ? penalty->row_offset.data() : nullptr;
-  const float* adj = penalized && !penalty->integer_exact ? penalty->row_penalty.data()
-                                                          : nullptr;
-  for (std::size_t b = 0; b < batch; ++b) {
-    hdc::hamming_many_packed(qwords.data() + b * words_per_row_, packed_data(), n_classes_,
-                             words_per_row_, h.data());
-    float* out = L + b * n_classes_;
-    if (off) {
-      // Integer-exact handicap: seen rows are scored as if their Hamming
-      // distance were h + Δ — the identical expression the sharded scan
-      // evaluates for its gathered candidates (bit-identical by design).
-      for (std::size_t c = 0; c < n_classes_; ++c) out[c] = hamming_logit(h[c] + off[c]);
-    } else if (adj) {
-      for (std::size_t c = 0; c < n_classes_; ++c) out[c] = hamming_logit(h[c]) - adj[c];
-    } else {
-      for (std::size_t c = 0; c < n_classes_; ++c) out[c] = hamming_logit(h[c]);
-    }
-  }
-  return logits;
+  detail::check_embeddings(*this, embeddings, "PrototypeStore::score_binary");
+  const std::vector<std::uint64_t> codes = encode_rows(embeddings);
+  return detail::scan_logits(*this, {embeddings.size(0), nullptr, codes.data()}, penalty);
 }
 
 hdc::BinaryHV PrototypeStore::binary_prototype(std::size_t i) const {

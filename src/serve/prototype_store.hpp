@@ -50,11 +50,11 @@
 // its slabs, so existing readers are never invalidated.
 //
 // score_float / score_binary are the *flat* scans: one sweep over all C
-// rows, materializing full [B, C] logits. For top-k retrieval over large
-// label spaces, serve/sharded_store.hpp partitions these same rows into
-// row-range shards and runs a scatter/gather scan that never materializes
-// the logits matrix; the flat scans remain the reference (and the right
-// call when the caller wants every logit, e.g. for calibration).
+// rows, materializing full [B, C] logits with the top-k executor's scorers
+// and penalty step (serve/topk_scan.hpp). Top-k retrieval runs the same
+// executor over row ranges (sharded_store.hpp, ann_store.hpp) and never
+// materializes the logits matrix; the flat scans remain the reference (and
+// the right call when the caller wants every logit, e.g. for calibration).
 #pragma once
 
 #include <atomic>
@@ -82,8 +82,8 @@ namespace hdczsc::serve {
 /// with respect to the penalized float scores — both flat and sharded
 /// paths then evaluate the identical expression
 /// scale·(1 − 2·(h + offset)/D). When no exact integer offset exists
-/// (`integer_exact` false: fractional offset, non-positive penalty or
-/// scale, or h + offset would leave the float-exact range < 2²⁴), both
+/// (`integer_exact` false: fractional offset, non-positive penalty, or
+/// h + offset would leave the float-exact range < 2²⁴), both
 /// paths fall back to the float form scale·(1 − 2h/D) − penalty and the
 /// sharded scan selects in the float domain.
 struct SeenPenalty {
@@ -104,7 +104,9 @@ class PrototypeStore {
   /// `prototypes` are the raw ϕ(A) rows [C, d]; `scale` the similarity
   /// temperature s applied to both scoring paths. `expansion` k sets the
   /// binary code width D = k·d (see file comment); `lsh_seed` fixes the
-  /// projection so snapshots are reproducible.
+  /// projection so snapshots are reproducible. Throws
+  /// std::invalid_argument, naming the field, unless `scale` is finite and
+  /// > 0 and D < 2²⁴ bits.
   PrototypeStore(const tensor::Tensor& prototypes, float scale, std::size_t expansion = 1,
                  std::uint64_t lsh_seed = 0x5EEDULL);
 
@@ -114,7 +116,8 @@ class PrototypeStore {
   /// bit-identical on both scoring paths. The LSH projection (expansion > 1)
   /// is regenerated deterministically from `lsh_seed`, exactly as the
   /// building constructor derived it. Throws std::invalid_argument when the
-  /// parts disagree (packed size vs. [C, d] x expansion).
+  /// parts disagree (packed size vs. [C, d] x expansion) or the geometry is
+  /// invalid (as the building constructor).
   static PrototypeStore from_parts(tensor::Tensor normalized_rows,
                                    std::vector<std::uint64_t> packed_words, float scale,
                                    std::size_t expansion, std::uint64_t lsh_seed);
@@ -191,14 +194,6 @@ class PrototypeStore {
   float hamming_logit(std::uint32_t h) const {
     return scale_ * (1.0f - 2.0f * static_cast<float>(h) * inv_code_bits_);
   }
-  /// Whether binary top-k may select on integer (h << 32) | label keys,
-  /// i.e. (h asc) orders like (hamming_logit desc): positive scale, D < 2²⁴,
-  /// and any active `penalty` an exact Hamming offset.
-  bool integer_select(const SeenPenalty* penalty) const {
-    return scale_ > 0.0f && code_bits_ < (std::size_t{1} << 24) &&
-           (!(penalty && penalty->active()) || penalty->integer_exact);
-  }
-
   /// L2-normalized float rows, row-major with leading dimension dim() —
   /// valid for the visible prefix [0, n_classes()). The slab may extend
   /// beyond the prefix; never index past n_classes().
@@ -247,7 +242,9 @@ class PrototypeStore {
   std::shared_ptr<std::atomic<std::size_t>> committed_;
 
   /// Code geometry from dim_ and `expansion`; regenerates R from lsh_seed_.
-  void init_geometry(std::size_t expansion);
+  /// Throws std::invalid_argument naming `who` unless scale_ is finite and
+  /// > 0 and D = d·expansion < 2²⁴.
+  void init_geometry(std::size_t expansion, const char* who);
 };
 
 }  // namespace hdczsc::serve

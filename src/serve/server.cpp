@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/log.hpp"
 
@@ -191,18 +190,7 @@ void ServerRuntime::worker_loop() {
         if (any_logits) {
           const std::size_t classes = lg.size(1);
           const float* row = lg.data() + g * classes;
-          const std::size_t k = std::min<std::size_t>(req.k, classes);
-          if (k > 0) {
-            std::vector<std::size_t> idx(classes);
-            std::iota(idx.begin(), idx.end(), std::size_t{0});
-            std::partial_sort(idx.begin(), idx.begin() + k, idx.end(),
-                              [row](std::size_t a, std::size_t b) {
-                                if (row[a] != row[b]) return row[a] > row[b];
-                                return a < b;
-                              });
-            r.topk.reserve(k);
-            for (std::size_t i = 0; i < k; ++i) r.topk.push_back(TopK{idx[i], row[idx[i]]});
-          }
+          r.topk = detail::topk_row(row, classes, req.k);
           if (req.want_logits) r.logits.assign(row, row + classes);
         } else {
           r.topk = std::move(hits[g]);

@@ -29,17 +29,25 @@
 // latency-bound chain), plus k-bounded selection in place of a C-wide
 // argsort over a materialized [B, C] tensor. Results are exact, not
 // approximate: the gathered top-k equals the flat store's full argsort
-// under the same (score desc, label asc) order — asserted for both scoring
-// paths in tests/test_sharded_store.cpp.
+// under the same (score desc, label asc) order (tests/test_sharded_store.cpp).
 //
 // The shards are row *ranges* over the existing store, not copies: shard s
 // scores class rows [begin(s), end(s)) of the same packed words and the
-// same normalized float rows the flat store scans, so S is a pure serving
-// knob — any S yields the same ranking, and an S=1 store behaves exactly
-// like the flat path. Per-shard scan counters (scans, rows swept, rows
-// pruned by the heap-cutoff block-skip) are kept for telemetry and
-// surfaced through ServerRuntime/ModelRegistry; scan wall time feeds the
-// profiling-gated serve_shard_scan_ms histogram (obs/metrics.hpp).
+// same normalized float rows the flat store scans. The scan itself is the
+// shared top-k executor (topk_scan.hpp) run over a plan of S shared
+// ranges; this class is its front-end and telemetry owner.
+//
+// S is a serving knob, not a results knob — with one caveat on the float
+// path. Binary results are exact at any S: the gathered top-k equals the
+// flat argsort of score_binary, labels and scores. Float *rankings* agree
+// too, but float *scores* depend on the GEMM call's shape: below 32³ MACs
+// the GEMM runs its double-accumulating naive kernel, above it the blocked
+// float kernel, so a shard's [B, C/S] call and the flat [B, C] call can
+// round differently (tests pin the sizes where both take the naive
+// kernel). Per-shard scan counters (scans, rows swept, rows pruned by the
+// Hamming threshold) are kept for telemetry and surfaced through
+// ServerRuntime/ModelRegistry; scan wall time feeds the profiling-gated
+// serve_shard_scan_ms histogram (obs/metrics.hpp).
 #pragma once
 
 #include <atomic>
@@ -48,16 +56,10 @@
 #include <vector>
 
 #include "serve/prototype_store.hpp"
+#include "serve/topk_scan.hpp"
 #include "tensor/tensor.hpp"
 
 namespace hdczsc::serve {
-
-/// One retrieval hit: a prototype-store row and its logit under the
-/// requested scoring path (same value the flat score_* path produces).
-struct TopK {
-  std::size_t label = 0;
-  float score = 0.0f;
-};
 
 class ShardedPrototypeStore {
  public:
@@ -67,21 +69,22 @@ class ShardedPrototypeStore {
   /// the serving stack).
   ShardedPrototypeStore(const PrototypeStore& base, std::size_t n_shards);
 
-  std::size_t n_shards() const { return shards_.size(); }
+  std::size_t n_shards() const { return plan_.ranges.size(); }
   std::size_t n_classes() const { return base_->n_classes(); }
   const PrototypeStore& base() const { return *base_; }
 
   /// Row range [begin, end) of shard `s`.
-  std::size_t shard_begin(std::size_t s) const { return shards_[s].begin; }
-  std::size_t shard_end(std::size_t s) const { return shards_[s].end; }
+  std::size_t shard_begin(std::size_t s) const { return plan_.ranges[s].begin; }
+  std::size_t shard_end(std::size_t s) const { return plan_.ranges[s].end; }
 
   /// Scatter/gather top-k on the float-cosine path from embeddings [B, d]:
   /// per shard one GEMM over its row range, k-bounded local selection,
   /// global merge. result[b] holds min(k, C) entries ordered by
   /// (score desc, label asc). k == 0 yields empty results. A resolved
   /// `penalty` (GZSL calibrated stacking, see SeenPenalty) handicaps the
-  /// seen rows inside the selection loop — the ranking and scores equal
-  /// the flat score_float(emb, penalty) full argsort.
+  /// seen rows inside the selection loop — the ranking equals the flat
+  /// score_float(emb, penalty) full argsort (scores too, wherever the
+  /// shard and flat GEMMs take the same kernel; see file comment).
   std::vector<std::vector<TopK>> topk_float(const tensor::Tensor& embeddings, std::size_t k,
                                             const SeenPenalty* penalty = nullptr) const;
 
@@ -102,26 +105,19 @@ class ShardedPrototypeStore {
     std::size_t rows = 0;           ///< shard height
     std::uint64_t scans = 0;        ///< (query, shard) scatter scans executed
     std::uint64_t rows_swept = 0;   ///< prototype rows swept in those scans
-    std::uint64_t rows_pruned = 0;  ///< rows skipped wholesale by the
-                                    ///< block-skip cutoff (subset of swept;
-                                    ///< the heap-cutoff prune rate is
-                                    ///< rows_pruned / rows_swept)
+    std::uint64_t rows_pruned = 0;  ///< binary-scan rows in 16-row blocks
+                                    ///< the Hamming threshold skipped whole
+                                    ///< (subset of swept; float scans
+                                    ///< prune none)
   };
   std::vector<ShardInfo> shard_stats() const;
 
  private:
-  struct Shard {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
-  /// Merge the flat (shard × query × k) candidate slots the scatter filled
-  /// into per-query globally ordered top-k lists.
-  std::vector<std::vector<TopK>> gather(std::size_t batch, std::size_t k,
-                                        const std::vector<TopK>& cand,
-                                        const std::vector<std::uint32_t>& cand_n) const;
+  /// Run the shared-range plan and fold its tally into the counters.
+  std::vector<std::vector<TopK>> scan(const detail::ScanQueries& q, std::size_t k,
+                                      const SeenPenalty* penalty) const;
   /// Telemetry (mutable: scoring is logically const). A few relaxed
-  /// fetch_adds per (batch, shard) scatter scan.
+  /// fetch_adds per (batch, shard) scan.
   struct Counters {
     std::atomic<std::uint64_t> scans{0};
     std::atomic<std::uint64_t> rows_swept{0};
@@ -129,7 +125,7 @@ class ShardedPrototypeStore {
   };
 
   const PrototypeStore* base_;
-  std::vector<Shard> shards_;
+  detail::ScanPlan plan_;  // one shared range per shard
   mutable std::unique_ptr<Counters[]> counters_;
 };
 

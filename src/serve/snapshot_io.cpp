@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
@@ -84,6 +85,29 @@ void read_end_marker(std::istream& is) {
 /// (C rows × ⌈k·d/64⌉ words/row). A corrupted count is rejected by name
 /// *before* any blind allocation or read — a short (or long) word array
 /// must never parse as a smaller store with trailing records misaligned.
+/// The store-geometry records, rejected by name before anything is sized
+/// from them: the expansion sizes the [d, D] projection (no writer emits
+/// one outside [1, 64]), and only a finite positive scale keeps the binary
+/// scans' integer keys exact.
+struct StoreGeometry {
+  std::size_t expansion;
+  std::uint64_t lsh_seed;
+  float scale;
+};
+StoreGeometry read_store_geometry(std::istream& is) {
+  const auto expansion = read_pod<std::uint64_t>(is, "expansion");
+  if (expansion < 1 || expansion > 64)
+    throw std::runtime_error("snapshot_io: corrupt record 'expansion': " +
+                             std::to_string(expansion) + " (expected 1..64)");
+  const StoreGeometry g{static_cast<std::size_t>(expansion),
+                        read_pod<std::uint64_t>(is, "lsh seed"),
+                        read_pod<float>(is, "store scale")};
+  if (!std::isfinite(g.scale) || !(g.scale > 0.0f))
+    throw std::runtime_error("snapshot_io: corrupt record 'store scale': " +
+                             std::to_string(g.scale) + " (expected finite and > 0)");
+  return g;
+}
+
 std::vector<std::uint64_t> read_packed_words(std::istream& is, std::size_t expected_words) {
   const auto n_words = read_pod<std::uint64_t>(is, "packed word count");
   if (n_words != expected_words)
@@ -311,16 +335,14 @@ std::shared_ptr<ModelSnapshot> load_snapshot(std::istream& is) {
                              tensor::shape_str(a.shape()) + ", expected [C, " +
                              std::to_string(h.n_attributes) + "]");
 
-  const auto expansion = static_cast<std::size_t>(read_pod<std::uint64_t>(is, "expansion"));
-  const auto lsh_seed = read_pod<std::uint64_t>(is, "lsh seed");
-  const float store_scale = read_pod<float>(is, "store scale");
+  const StoreGeometry geom = read_store_geometry(is);
   tensor::Tensor normalized = read_tensor(is, "normalized prototype rows");
   if (normalized.dim() != 2 || normalized.size(0) == 0)
     throw std::runtime_error("snapshot_io: normalized prototype rows are " +
                              tensor::shape_str(normalized.shape()) + ", expected [C, d]");
   const std::size_t n_classes = normalized.size(0);
   const std::size_t words_per_row =
-      (normalized.size(1) * std::max<std::size_t>(expansion, 1) + 63) / 64;
+      (normalized.size(1) * geom.expansion + 63) / 64;
   std::vector<std::uint64_t> packed = read_packed_words(is, n_classes * words_per_row);
   // Version-1 files predate sharding and load as S = 1 (the flat store).
   const std::size_t shards =
@@ -352,7 +374,7 @@ std::shared_ptr<ModelSnapshot> load_snapshot(std::istream& is) {
   read_end_marker(is);
 
   PrototypeStore store = PrototypeStore::from_parts(std::move(normalized), std::move(packed),
-                                                    store_scale, expansion, lsh_seed);
+                                                    geom.scale, geom.expansion, geom.lsh_seed);
   if (store.n_classes() != a.size(0))
     throw std::runtime_error("snapshot_io: prototype store rows (" +
                              std::to_string(store.n_classes()) +
@@ -416,15 +438,13 @@ SnapshotInfo inspect_snapshot(std::istream& is) {
 
   const tensor::Tensor a = read_tensor(is, "class-attribute matrix");
   info.n_classes = a.size(0);
-  info.expansion = static_cast<std::size_t>(read_pod<std::uint64_t>(is, "expansion"));
-  read_pod<std::uint64_t>(is, "lsh seed");
-  read_pod<float>(is, "store scale");
+  info.expansion = read_store_geometry(is).expansion;
   const tensor::Tensor normalized = read_tensor(is, "normalized prototype rows");
   if (normalized.dim() != 2 || normalized.size(0) == 0)
     throw std::runtime_error("snapshot_io: normalized prototype rows are " +
                              tensor::shape_str(normalized.shape()) + ", expected [C, d]");
   info.dim = normalized.size(1);
-  info.code_bits = info.dim * std::max<std::size_t>(info.expansion, 1);
+  info.code_bits = info.dim * info.expansion;
   info.float_bytes = normalized.numel() * sizeof(float);
   const std::size_t words_per_row = (info.code_bits + 63) / 64;
   info.binary_bytes =

@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "core/pipeline.hpp"
 #include "hdc/hypervector.hpp"
+#include "serve/ann_store.hpp"
 #include "serve/server.hpp"
 #include "tensor/ops.hpp"
 
@@ -247,6 +251,70 @@ TEST(PrototypeStore, EncodeIsBatchInvariantAndMatchesTheKOrderedDefinition) {
                     code_of((start + i) % kRows))
               << "batch " << m << " position " << i;
       }
+  }
+}
+
+TEST(TopkScan, BinaryTopkIsBatchInvariantOnSharedAndPerQueryPlans) {
+  // The executor groups queries two ways: shared plans (flat, sharded) sweep
+  // each range once for the whole batch with the query-blocked kernel and
+  // share cutoff hints across ranges; per-query plans (IVF) scan each query
+  // on its own. Either way a query's binary top-k — labels and scores —
+  // must not depend on the batch it arrives in or its position there.
+  constexpr std::size_t kClasses = 300, kDim = 64, kQueries = 8, kK = 5;
+  util::Rng rng(0x70CC5EEDULL);
+  const Tensor protos = Tensor::randn({kClasses, kDim}, rng);
+  const Tensor queries = Tensor::randn({kQueries, kDim}, rng);
+  std::vector<std::uint8_t> mask(kClasses, 0);
+  for (std::size_t c = 0; c < kClasses; c += 3) mask[c] = 1;  // striped seen classes
+
+  for (std::size_t expansion : {1u, 8u}) {
+    const serve::PrototypeStore store(protos, 4.0f, expansion);
+    // 0.375 = 4 · 2Δ/D with Δ = 3 at D = 64 and Δ = 24 at D = 512.
+    const serve::SeenPenalty gzsl = store.resolve_penalty(0.375f, mask);
+    ASSERT_TRUE(gzsl.integer_exact);
+    const serve::ShardedPrototypeStore s1(store, 1), s3(store, 3);
+    const serve::IvfIndex ivf(store);
+    for (const serve::SeenPenalty* penalty : {static_cast<const serve::SeenPenalty*>(nullptr),
+                                              &gzsl}) {
+      const std::vector<std::pair<std::string, std::function<std::vector<std::vector<
+                                                   serve::TopK>>(const Tensor&)>>>
+          paths = {
+              {"S=1", [&](const Tensor& q) { return s1.topk_binary(q, kK, penalty); }},
+              {"S=3", [&](const Tensor& q) { return s3.topk_binary(q, kK, penalty); }},
+              {"ivf", [&](const Tensor& q) { return ivf.topk_binary(q, kK, 0, penalty); }},
+          };
+      for (const auto& [name, topk] : paths) {
+        SCOPED_TRACE("x" + std::to_string(expansion) + " " + name +
+                     (penalty ? " penalized" : ""));
+        const auto batch_of = [&](std::size_t start, std::size_t m) {
+          Tensor b({m, kDim});
+          for (std::size_t i = 0; i < m; ++i) {
+            const float* src = queries.data() + ((start + i) % kQueries) * kDim;
+            std::copy(src, src + kDim, b.data() + i * kDim);
+          }
+          return b;
+        };
+        std::vector<std::vector<serve::TopK>> alone(kQueries);
+        for (std::size_t q = 0; q < kQueries; ++q) {
+          alone[q] = topk(batch_of(q, 1))[0];
+          ASSERT_EQ(alone[q].size(), kK);
+        }
+        for (std::size_t m : {3u, 8u})
+          for (std::size_t start = 0; start < kQueries; ++start) {
+            const auto got = topk(batch_of(start, m));
+            for (std::size_t i = 0; i < m; ++i) {
+              const auto& want = alone[(start + i) % kQueries];
+              ASSERT_EQ(got[i].size(), want.size());
+              for (std::size_t r = 0; r < want.size(); ++r) {
+                EXPECT_EQ(got[i][r].label, want[r].label)
+                    << "batch " << m << " position " << i << " rank " << r;
+                EXPECT_EQ(got[i][r].score, want[r].score)
+                    << "batch " << m << " position " << i << " rank " << r;
+              }
+            }
+          }
+      }
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -323,6 +324,73 @@ TEST(SnapshotIO, CorruptPackedWordCountRejectedBeforeReadingShort) {
       EXPECT_NE(std::string(e.what()).find("packed word count"), std::string::npos)
           << e.what();
     }
+  }
+}
+
+TEST(SnapshotIO, CorruptStoreGeometryRejectedByName) {
+  // The store scale must be finite and > 0 (the binary scans' integer keys
+  // rely on it) and the expansion must lie in [1, 64]: it sizes the [d, D]
+  // LSH projection, so an unchecked value lets a small file demand
+  // gigabytes. Both are rejected by record name before anything is built.
+  Tiny t = make_tiny(71, "hdc", /*n_classes=*/7);
+  serve::ModelSnapshot snap(t.model, t.a, /*binary_expansion=*/1);  // d=64 ⇒ 1 word/row
+  std::stringstream full;
+  serve::save_snapshot(full, snap);
+  const std::string bytes = full.str();
+
+  // Back from the packed count (see the test above): the normalized-rows
+  // tensor record ("HDCT" | u32 version | u32 rank | 2 u64 dims | 7×64 f32),
+  // then f32 store scale, u64 lsh seed, u64 expansion.
+  const std::size_t count_off = bytes.size() - 4 - 20 - 1 - 1 - 8 - 8 - 8 - 7 * 8 - 8;
+  const std::size_t scale_off = count_off - (4 + 4 + 4 + 2 * 8 + 7 * 64 * 4) - 4;
+  const std::size_t expansion_off = scale_off - 8 - 8;
+  float scale = 0.0f;
+  std::uint64_t expansion = 0;
+  std::memcpy(&scale, bytes.data() + scale_off, 4);
+  std::memcpy(&expansion, bytes.data() + expansion_off, 8);
+  ASSERT_EQ(scale, snap.prototypes().scale()) << "tail-layout arithmetic drifted";
+  ASSERT_EQ(expansion, 1u) << "tail-layout arithmetic drifted";
+
+  const auto expect_rejected = [&](const std::string& corrupt, const std::string& record) {
+    std::istringstream in(corrupt);
+    try {
+      serve::load_snapshot(in);
+      FAIL() << "corrupt '" << record << "' parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + record + "'"), std::string::npos) << e.what();
+    }
+    std::istringstream in2(corrupt);
+    EXPECT_THROW(serve::inspect_snapshot(in2), std::runtime_error) << record;
+  };
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(), 0.0f, -1.0f,
+                    std::numeric_limits<float>::infinity()}) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + scale_off, &bad, 4);
+    expect_rejected(corrupt, "store scale");
+  }
+  for (std::uint64_t bad : {std::uint64_t{0}, std::uint64_t{65}, std::uint64_t{1} << 18}) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + expansion_off, &bad, 8);
+    expect_rejected(corrupt, "expansion");
+  }
+}
+
+TEST(PrototypeStore, GeometryValidatedOnEveryConstructionPath) {
+  util::Rng rng(73);
+  const Tensor rows = Tensor::randn({5, 16}, rng);
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(), 0.0f, -1.0f}) {
+    EXPECT_THROW(serve::PrototypeStore(rows, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(serve::PrototypeStore::from_parts(rows, std::vector<std::uint64_t>(5), bad,
+                                                   1, 0),
+                 std::invalid_argument)
+        << bad;
+  }
+  // D = 16·2²⁰ = 2²⁴ bits: one past the widest code the integer keys allow.
+  try {
+    serve::PrototypeStore(rows, 4.0f, std::size_t{1} << 20);
+    FAIL() << "2^24-bit code accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("expansion"), std::string::npos) << e.what();
   }
 }
 
