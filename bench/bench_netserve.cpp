@@ -54,6 +54,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "serve/model_registry.hpp"
+#include "tensor/gemm.hpp"
 #include "util/config.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -263,6 +264,9 @@ int main(int argc, char** argv) {
   const bool require_zero_transport = args.has("require-zero-transport");
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   util::Timer total_wall;
+  // This process's kernels: the server's when self-hosted.
+  std::printf("kernels: gemm=%s hamming=%s encode=%s\n", tensor::gemm_kernel_name(),
+              hdc::hamming_kernel_name(), serve::encode_kernel_name());
 
   // -- 1. a server to load: external (--connect) or self-hosted --------------
   std::string host = "127.0.0.1";
@@ -299,9 +303,10 @@ int main(int argc, char** argv) {
       auto tp = core::run_pipeline_trained(cfg);
       // Expansion 1 = direct d-bit sign codes: no per-query LSH projection,
       // the high-throughput serving configuration. x8 codes buy cosine
-      // fidelity with the projection: one d=256 query encodes in 0.7 us at
-      // x1 and 120-160 us at x8 (encode_query median, Release build for
-      // baseline x86-64, one thread of a 4-vCPU Xeon).
+      // fidelity with the projection: one d=256 query encodes in ~0.5 us at
+      // x1 and ~35 us at x8 on the avx512 encode kernel (~66 us on avx2;
+      // median of one-row encode_rows calls, Release build, one thread of a
+      // 4-vCPU AVX-512 Xeon).
       const std::size_t expansion =
           static_cast<std::size_t>(std::max<long>(1, args.get_int("expansion", 1)));
       snapshot = std::make_shared<const serve::ModelSnapshot>(
@@ -487,6 +492,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(j, "{\n  \"bench\": \"netserve\",\n");
+    std::fprintf(j,
+                 "  \"fingerprint\": {\"gemm_kernel\": \"%s\", \"hamming_kernel\": \"%s\", "
+                 "\"encode_kernel\": \"%s\"},\n",
+                 tensor::gemm_kernel_name(), hdc::hamming_kernel_name(),
+                 serve::encode_kernel_name());
     std::fprintf(j, "  \"input\": \"%s\",\n  \"connections\": %zu,\n", input_kind.c_str(),
                  n_conns);
     std::fprintf(j, "  \"self_hosted\": %s,\n  \"k\": %zu,\n  \"dim\": %zu,\n",

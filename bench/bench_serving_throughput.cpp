@@ -62,6 +62,7 @@
 #include "obs/export.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/sharded_store.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "util/config.hpp"
 #include "util/table.hpp"
@@ -159,6 +160,8 @@ int main(int argc, char** argv) {
   const std::size_t n_requests = static_cast<std::size_t>(args.get_int("requests", 512));
   const std::size_t clients = static_cast<std::size_t>(args.get_int("clients", 4));
   util::Timer wall;
+  std::printf("kernels: gemm=%s hamming=%s encode=%s\n", tensor::gemm_kernel_name(),
+              hdc::hamming_kernel_name(), serve::encode_kernel_name());
 
   // -- train a small model, freeze a snapshot --------------------------------
   core::PipelineConfig cfg;
@@ -651,6 +654,11 @@ int main(int argc, char** argv) {
     }
     std::fprintf(j, "{\n");
     std::fprintf(j, "  \"bench\": \"serving_throughput\",\n");
+    std::fprintf(j,
+                 "  \"fingerprint\": {\"gemm_kernel\": \"%s\", \"hamming_kernel\": \"%s\", "
+                 "\"encode_kernel\": \"%s\"},\n",
+                 tensor::gemm_kernel_name(), hdc::hamming_kernel_name(),
+                 serve::encode_kernel_name());
     std::fprintf(j, "  \"requests\": %zu,\n  \"clients\": %zu,\n", n_requests, clients);
     std::fprintf(j, "  \"served_classes\": %zu,\n  \"dim\": %zu,\n", n_served_classes, d);
     std::fprintf(j, "  \"direct\": {\"rps\": %.2f, \"ms_per_request\": %.3f},\n",

@@ -50,7 +50,7 @@ SimilarityKernel::Grads SimilarityKernel::backward(const Tensor& grad_logits) {
     const float* C = cos_.data();
     double acc = 0.0;
     for (std::size_t i = 0; i < grad_logits.numel(); ++i) acc += static_cast<double>(G[i]) * C[i];
-    log_scale_.grad[0] += static_cast<float>(s * acc);
+    log_scale_.grad_buffer()[0] += static_cast<float>(s * acc);
   }
 
   // dL/dÊ = s * dP * Ĉ ; dL/dĈ = s * dPᵀ * Ê.

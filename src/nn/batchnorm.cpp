@@ -104,8 +104,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
         sum_gx += static_cast<double>(g[i]) * xh[i];
       }
     }
-    gamma_.grad[ch] += static_cast<float>(sum_gx);
-    beta_.grad[ch] += static_cast<float>(sum_g);
+    gamma_.grad_buffer()[ch] += static_cast<float>(sum_gx);
+    beta_.grad_buffer()[ch] += static_cast<float>(sum_g);
 
     const double gm = gamma_.value[ch];
     const double is = cached_inv_std_[ch];

@@ -143,8 +143,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const float* X = x.data();
   const float* G = grad_out.data();
   float* DX = dx.data();
-  float* DW = w_.grad.data();
-  float* DB = b_.grad.data();
+  float* DW = w_.grad_buffer().data();
+  float* DB = b_.grad_buffer().data();
 
   // Rebuild the whole-batch column matrix (same layout as forward).
   float* cols = tensor::scratch_f32(tensor::kScratchConvCols, krows * total);

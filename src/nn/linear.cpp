@@ -34,10 +34,10 @@ Tensor Linear::backward(const Tensor& grad_out) {
     throw std::logic_error("Linear::backward called before forward(train=true)");
   // dW = grad_out^T x, db = sum_rows(grad_out), dx = grad_out W.
   Tensor dw = tensor::matmul_tn(grad_out, cached_input_);  // [out, in]
-  w_.grad.add_scaled(dw, 1.0f);
+  w_.grad_buffer().add_scaled(dw, 1.0f);
   if (has_bias_) {
     Tensor db = tensor::sum_rows(grad_out);
-    b_.grad.add_scaled(db, 1.0f);
+    b_.grad_buffer().add_scaled(db, 1.0f);
   }
   return tensor::matmul(grad_out, w_.value);  // [B, in]
 }

@@ -8,8 +8,9 @@ float Optimizer::clip_grad_norm(float max_norm) {
   double total = 0.0;
   for (Parameter* p : params_) {
     if (!p->requires_grad) continue;
-    const float* g = p->grad.data();
-    for (std::size_t i = 0; i < p->grad.numel(); ++i) total += static_cast<double>(g[i]) * g[i];
+    const tensor::Tensor& grad = p->grad_buffer();
+    const float* g = grad.data();
+    for (std::size_t i = 0; i < grad.numel(); ++i) total += static_cast<double>(g[i]) * g[i];
   }
   const float norm = static_cast<float>(std::sqrt(total));
   if (norm > max_norm && norm > 0.0f) {
@@ -33,7 +34,7 @@ void Sgd::step() {
     Parameter* p = params_[k];
     if (!p->requires_grad) continue;
     float* w = p->value.data();
-    const float* g = p->grad.data();
+    const float* g = p->grad_buffer().data();
     float* v = velocity_[k].data();
     for (std::size_t i = 0; i < p->value.numel(); ++i) {
       float grad = g[i] + weight_decay_ * w[i];
@@ -66,7 +67,7 @@ void Adam::step() {
     Parameter* p = params_[k];
     if (!p->requires_grad) continue;
     float* w = p->value.data();
-    const float* g = p->grad.data();
+    const float* g = p->grad_buffer().data();
     float* m = m_[k].data();
     float* v = v_[k].data();
     for (std::size_t i = 0; i < p->value.numel(); ++i) {

@@ -1,8 +1,10 @@
 #include "serve/prototype_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "serve/topk_scan.hpp"
 #include "tensor/ops.hpp"
@@ -13,10 +15,10 @@ namespace hdczsc::serve {
 
 namespace {
 
-/// Encode scratch: one [kEncodeRows, kEncodeTile] float block on the stack
-/// (8 KiB) whatever the batch; a tile packs into whole 64-bit words.
+/// Encode scratch: one [kEncodeRows, kEncodeLanes] float block on the stack
+/// (2 KiB) whatever the batch; a 64-lane tile makes exactly one code word.
 constexpr std::size_t kEncodeRows = 8;
-constexpr std::size_t kEncodeTile = 256;
+constexpr std::size_t kEncodeLanes = 64;
 
 /// Set bit j of the pre-zeroed `words` for every negative v[j], j < n.
 void or_signs(const float* v, std::size_t n, std::uint64_t* words) {
@@ -24,34 +26,120 @@ void or_signs(const float* v, std::size_t n, std::uint64_t* words) {
     words[j / 64] |= std::uint64_t{v[j] < 0.0f} << (j % 64);
 }
 
-/// Sign-LSH codes of `nr` ≤ kEncodeRows rows x [nr, d] through Rᵀ [d, D],
-/// OR-ed into pre-zeroed codes. Component j is Σ R[j, k]·x[k] summed in k
-/// order from +0.0f (the scalar definition) while the j loop vectorizes.
-/// Cache-line aligned so the hot loop's placement, and with it its speed,
-/// does not move with unrelated code in the link.
-__attribute__((aligned(64))) void project_block(const float* rt, std::size_t d, std::size_t D, const float* x,
-                   std::size_t nr, std::size_t wpr, std::uint64_t* codes) {
-  float acc[kEncodeRows][kEncodeTile] = {};
-  for (std::size_t j0 = 0; j0 < D; j0 += kEncodeTile) {
-    const std::size_t jn = std::min(kEncodeTile, D - j0);
-    for (std::size_t b = 0; b < nr; ++b) std::fill(acc[b], acc[b] + jn, 0.0f);
-    for (std::size_t k = 0; k < d; ++k) {
-      const float* __restrict rk = rt + k * D + j0;
-      for (std::size_t b = 0; b < nr; ++b) {
-        const float xk = x[b * d + k];
-        float* __restrict a = acc[b];
-        for (std::size_t j = 0; j < jn; ++j) a[j] += rk[j] * xk;
-      }
-    }
-    for (std::size_t b = 0; b < nr; ++b) or_signs(acc[b], jn, codes + b * wpr + j0 / 64);
+using EncodeFn = void (*)(const std::uint32_t* planes, std::size_t d, std::size_t wpr,
+                          const float* x, std::size_t nr, std::uint64_t* codes);
+
+// Sign-LSH codes of `nr` ≤ kEncodeRows rows x [nr, d] through the bit-plane
+// R (see init_geometry), written to codes [nr, wpr]. Component j is
+// Σ R[j, k]·x[k] summed in k order from +0.0f. With R[j, k] = ±1 the product
+// is exactly ±x[k], so it is formed by XOR-ing R's sign bit into x[k]'s
+// bits: the float a multiply would give, so no FMA contraction or vector
+// width can change a sum, and every variant yields the scalar definition's
+// bits. A tile's sign words are shifted once per k and applied to every
+// row. Stamped per ISA like tensor/gemm.cpp; each variant is cache-line
+// aligned so its speed does not move with unrelated code in the link.
+#define HDCZSC_DEFINE_ENCODE_KERNEL(suffix, attrs)                                         \
+  attrs __attribute__((aligned(64))) static void encode_block_##suffix(                    \
+      const std::uint32_t* planes, std::size_t d, std::size_t wpr, const float* x,         \
+      std::size_t nr, std::uint64_t* codes) {                                              \
+    const std::size_t lanes = wpr * kEncodeLanes;                                          \
+    float acc[kEncodeRows][kEncodeLanes];                                                  \
+    for (std::size_t w = 0; w < wpr; ++w) {                                                \
+      for (std::size_t b = 0; b < nr; ++b) std::fill(acc[b], acc[b] + kEncodeLanes, 0.0f); \
+      for (std::size_t k0 = 0; k0 < d; k0 += 32) {                                         \
+        const std::uint32_t* __restrict plane = planes + k0 / 32 * lanes + w * kEncodeLanes; \
+        const std::size_t kn = std::min<std::size_t>(32, d - k0);                          \
+        for (std::size_t kk = 0; kk < kn; ++kk) {                                          \
+          const unsigned shift = 31 - static_cast<unsigned>(kk);                           \
+          for (std::size_t b = 0; b < nr; ++b) {                                           \
+            const std::uint32_t xk = std::bit_cast<std::uint32_t>(x[b * d + k0 + kk]);     \
+            float* __restrict a = acc[b];                                                  \
+            for (std::size_t j = 0; j < kEncodeLanes; ++j)                                 \
+              a[j] += std::bit_cast<float>(xk ^ ((plane[j] << shift) & 0x80000000u));      \
+          }                                                                                \
+        }                                                                                  \
+      }                                                                                    \
+      for (std::size_t b = 0; b < nr; ++b) {                                               \
+        std::uint64_t code = 0;                                                            \
+        for (std::size_t j = 0; j < kEncodeLanes; ++j)                                     \
+          code |= std::uint64_t{acc[b][j] < 0.0f} << j;                                    \
+        codes[b * wpr + w] = code;                                                         \
+      }                                                                                    \
+    }                                                                                      \
   }
+
+// Portable variant: no target annotation (baseline SSE2 on x86-64).
+HDCZSC_DEFINE_ENCODE_KERNEL(portable, )
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define HDCZSC_ENCODE_X86_DISPATCH 1
+HDCZSC_DEFINE_ENCODE_KERNEL(avx2, __attribute__((target("avx2,fma"))))
+HDCZSC_DEFINE_ENCODE_KERNEL(avx512,
+                            __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl,fma"))))
+#endif
+
+struct EncodeKernel {
+  EncodeFn fn;
+  const char* name;
+};
+
+constexpr EncodeKernel kPortable{encode_block_portable, "portable"};
+#if defined(HDCZSC_ENCODE_X86_DISPATCH)
+constexpr EncodeKernel kAvx2{encode_block_avx2, "avx2"};
+constexpr EncodeKernel kAvx512{encode_block_avx512, "avx512"};
+/// Widest first: the pick is the first one the CPU supports.
+constexpr const EncodeKernel* kEncodeKernels[] = {&kAvx512, &kAvx2, &kPortable};
+
+bool cpu_supports(const EncodeKernel* k) {
+  __builtin_cpu_init();
+  if (k == &kAvx2) return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  if (k == &kAvx512)
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+           __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl") &&
+           __builtin_cpu_supports("fma");
+  return true;
+}
+#else
+constexpr const EncodeKernel* kEncodeKernels[] = {&kPortable};
+bool cpu_supports(const EncodeKernel*) { return true; }
+#endif
+
+const EncodeKernel* detect_encode_kernel() {
+  for (const EncodeKernel* k : kEncodeKernels)
+    if (cpu_supports(k)) return k;
+  return &kPortable;
+}
+
+/// Current selection: picked once, re-pinned only by set_encode_kernel.
+/// Atomic, so pinning a variant does not race a concurrent encode.
+std::atomic<const EncodeKernel*>& encode_kernel() {
+  static std::atomic<const EncodeKernel*> active{detect_encode_kernel()};
+  return active;
 }
 
 }  // namespace
 
+const char* encode_kernel_name() { return encode_kernel().load()->name; }
+
+bool set_encode_kernel(const char* name) {
+  const std::string want = name ? name : "";
+  if (want == "auto") {
+    encode_kernel().store(detect_encode_kernel());
+    return true;
+  }
+  for (const EncodeKernel* k : kEncodeKernels)
+    if (want == k->name && cpu_supports(k)) {
+      encode_kernel().store(k);
+      return true;
+    }
+  return false;
+}
+
 void PrototypeStore::init_geometry(std::size_t expansion, const char* who) {
-  // Checked before Rᵀ [d, D] is allocated: a positive finite scale and
-  // D < 2²⁴ are what make every binary scan's integer keys exact.
+  // Checked before R is drawn: a positive finite scale and D < 2²⁴ are what
+  // make every binary scan's integer keys exact, and d·D < 2²⁶ caps R at
+  // 8 MiB of sign bits, so a small store record cannot demand a large
+  // allocation or a long draw.
   if (!std::isfinite(scale_) || !(scale_ > 0.0f))
     throw std::invalid_argument(std::string(who) + ": scale must be finite and > 0, got " +
                                 std::to_string(scale_));
@@ -64,35 +152,47 @@ void PrototypeStore::init_geometry(std::size_t expansion, const char* who) {
   words_per_row_ = (code_bits_ + 63) / 64;
   inv_code_bits_ = 1.0f / static_cast<float>(code_bits_);
   if (expansion_ == 1) return;
-  // The same draw sequence as Tensor::rademacher({D, d}) — row-major over
-  // R[j, k] — written straight into the transposed layout, so persisted
-  // codes made from lsh_seed stay valid and no second [D, d] copy exists.
-  projection_t_ = tensor::Tensor({dim_, code_bits_});
+  if (dim_ * code_bits_ >= (std::size_t{1} << 26))
+    throw std::invalid_argument(std::string(who) + ": LSH projection size d·D = " +
+                                std::to_string(dim_) + "·" + std::to_string(code_bits_) +
+                                " must be < 2^26");
+  // R as sign bits in lane-major planes: bit k % 32 of word [k / 32][j] is
+  // set iff R[j, k] = −1. The lane stride pads D to whole code words with
+  // R = +1 lanes that the encode computes and masks off. The draw order is
+  // Tensor::rademacher({D, d})'s — row-major over R[j, k] — so persisted
+  // codes made from lsh_seed stay valid.
+  const std::size_t lanes = words_per_row_ * kEncodeLanes;
+  auto planes = std::make_shared<std::vector<std::uint32_t>>((dim_ + 31) / 32 * lanes, 0u);
   util::Rng rng(lsh_seed_);
-  float* rt = projection_t_.data();
   for (std::size_t j = 0; j < code_bits_; ++j)
     for (std::size_t k = 0; k < dim_; ++k)
-      rt[k * code_bits_ + j] = static_cast<float>(rng.rademacher());
+      if (rng.rademacher() < 0) (*planes)[k / 32 * lanes + j] |= std::uint32_t{1} << (k % 32);
+  sign_planes_ = std::move(planes);
 }
 
 void PrototypeStore::encode_rows(const float* rows, std::size_t n,
                                  std::uint64_t* codes) const {
   const std::size_t wpr = words_per_row_;
-  std::fill(codes, codes + n * wpr, std::uint64_t{0});
   if (expansion_ == 1) {
     // Signs are norm-invariant; pack the raw components directly.
+    std::fill(codes, codes + n * wpr, std::uint64_t{0});
     for (std::size_t r = 0; r < n; ++r) or_signs(rows + r * dim_, dim_, codes + r * wpr);
     return;
   }
   // Row blocks are independent: fanning them out changes nothing bitwise.
+  const EncodeFn encode_block = encode_kernel().load()->fn;
+  const std::uint32_t* planes = sign_planes_->data();
   util::parallel_for(
       0, (n + kEncodeRows - 1) / kEncodeRows,
       [&](std::size_t blk) {
         const std::size_t r0 = blk * kEncodeRows;
-        project_block(projection_t_.data(), dim_, code_bits_, rows + r0 * dim_,
-                      std::min(kEncodeRows, n - r0), wpr, codes + r0 * wpr);
+        encode_block(planes, dim_, wpr, rows + r0 * dim_, std::min(kEncodeRows, n - r0),
+                     codes + r0 * wpr);
       },
       /*grain=*/1);
+  // Bits at and past D come from the padding lanes: clear them.
+  if (const std::size_t tail = code_bits_ % 64; tail != 0)
+    for (std::size_t r = 0; r < n; ++r) codes[r * wpr + wpr - 1] &= (std::uint64_t{1} << tail) - 1;
 }
 
 std::vector<std::uint64_t> PrototypeStore::encode_rows(const tensor::Tensor& rows) const {

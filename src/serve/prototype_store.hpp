@@ -25,6 +25,14 @@
 // prototypes, appends, IVF centroids and queries — so a query equal to a
 // prototype row gets exactly that row's stored code.
 //
+// R is held as sign bits, one per entry (d·D/8 bytes: 64 KiB at d = 256 x8,
+// against 2 MiB as floats), in lane-major planes shared by every value of
+// the store. It is drawn from lsh_seed and never persisted. Since R·x is
+// exactly ±x, the encode applies R by XOR-ing sign bits into x's floats;
+// the loop is stamped per ISA (portable / AVX2 / AVX-512) and the widest
+// the CPU runs is picked once — every variant yields the same codes.
+// d·D is bounded below 2²⁶ (8 MiB of bits) before R is drawn.
+//
 // Both paths multiply by the model's learned temperature scale s = 1/K so
 // their outputs are directly comparable to ZscModel::class_logits.
 //
@@ -106,7 +114,7 @@ class PrototypeStore {
   /// binary code width D = k·d (see file comment); `lsh_seed` fixes the
   /// projection so snapshots are reproducible. Throws
   /// std::invalid_argument, naming the field, unless `scale` is finite and
-  /// > 0 and D < 2²⁴ bits.
+  /// > 0, D < 2²⁴ bits and (expansion > 1) the projection size d·D < 2²⁶.
   PrototypeStore(const tensor::Tensor& prototypes, float scale, std::size_t expansion = 1,
                  std::uint64_t lsh_seed = 0x5EEDULL);
 
@@ -234,7 +242,9 @@ class PrototypeStore {
   float inv_code_bits_ = 1.0f;     // 1/D, the hamming_logit factor
   std::size_t capacity_rows_ = 0;  // rows the slabs can hold
   tensor::Tensor float_plane_;     // [capacity, d] slab; rows [0, C) visible
-  tensor::Tensor projection_t_;    // Rademacher Rᵀ [d, D] (empty when expansion == 1)
+  /// R as sign bits: word [k/32][j] holds R[j, k] < 0 at bit k % 32, with
+  /// D padded to whole code words (null when expansion == 1).
+  std::shared_ptr<const std::vector<std::uint32_t>> sign_planes_;
   /// Packed slab [capacity * words_per_row]; shared across appended values.
   std::shared_ptr<std::vector<std::uint64_t>> packed_plane_;
   /// Rows claimed in the shared slabs (>= any sharing value's n_classes_);
@@ -243,8 +253,20 @@ class PrototypeStore {
 
   /// Code geometry from dim_ and `expansion`; regenerates R from lsh_seed_.
   /// Throws std::invalid_argument naming `who` unless scale_ is finite and
-  /// > 0 and D = d·expansion < 2²⁴.
+  /// > 0, D = d·expansion < 2²⁴ and, when R exists, d·D < 2²⁶ — all before
+  /// R is allocated.
   void init_geometry(std::size_t expansion, const char* who);
 };
+
+/// Name of the sign-LSH encode kernel variant selected for this CPU
+/// ("avx512" / "avx2" / "portable") — surfaced in benches, mirroring
+/// tensor::gemm_kernel_name() and hdc::hamming_kernel_name().
+const char* encode_kernel_name();
+
+/// Testing/diagnostics hook: pin the encode kernel to one variant, or
+/// restore the runtime pick with "auto". Returns false, changing nothing,
+/// when the variant is unknown or this CPU cannot run it. Every variant
+/// yields bitwise-identical codes; call from test or bench setup only.
+bool set_encode_kernel(const char* name);
 
 }  // namespace hdczsc::serve

@@ -80,11 +80,13 @@ using MacroKernelFn = void (*)(const float* apack, const float* bpack, std::size
 // plain counted loops over contiguous packed panels, which every supported
 // compiler turns into broadcast-FMA vector code for the annotated target.
 // Tile shapes are per-ISA: they are chosen so the accumulator block fills
-// (but does not spill) that ISA's vector register file.
+// (but does not spill) that ISA's vector register file. Each kernel is
+// cache-line aligned: when unrelated code moved them from offset 16 to 48
+// of a line, the image backbone served ~10% fewer requests per second.
 #define HDCZSC_DEFINE_GEMM_KERNEL(suffix, attrs, MR_, NR_)                                \
-  attrs static void micro_##suffix(const float* a, const float* b, std::size_t kc,        \
-                                   float* C, std::size_t ldc, std::size_t mr,             \
-                                   std::size_t nr) {                                      \
+  attrs __attribute__((aligned(64))) static void micro_##suffix(                          \
+      const float* a, const float* b, std::size_t kc, float* C, std::size_t ldc,          \
+      std::size_t mr, std::size_t nr) {                                                   \
     constexpr std::size_t MR = (MR_), NR = (NR_);                                         \
     float acc[MR][NR] = {};                                                               \
     for (std::size_t p = 0; p < kc; ++p) {                                                \
@@ -103,9 +105,9 @@ using MacroKernelFn = void (*)(const float* apack, const float* bpack, std::size
         for (std::size_t j = 0; j < nr; ++j) C[i * ldc + j] += acc[i][j];                 \
     }                                                                                     \
   }                                                                                       \
-  attrs static void macro_##suffix(const float* apack, const float* bpack, std::size_t mc, \
-                                   std::size_t nc, std::size_t kc, float* C,              \
-                                   std::size_t ldc) {                                     \
+  attrs __attribute__((aligned(64))) static void macro_##suffix(                          \
+      const float* apack, const float* bpack, std::size_t mc, std::size_t nc,             \
+      std::size_t kc, float* C, std::size_t ldc) {                                        \
     constexpr std::size_t MR = (MR_), NR = (NR_);                                         \
     for (std::size_t jr = 0; jr < nc; jr += NR) {                                         \
       const std::size_t nr = std::min(NR, nc - jr);                                       \

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -191,66 +192,100 @@ TEST(PrototypeStore, BinaryRowsMatchSignBits) {
 
 TEST(PrototypeStore, EncodeIsBatchInvariantAndMatchesTheKOrderedDefinition) {
   // Geometries: small x2, the serving x8, and d = 300 (past a 256-deep
-  // accumulation panel, where a blocked GEMM would split the k sum).
+  // accumulation panel, where a blocked GEMM would split the k sum; a
+  // partial 32-k sign-bit word; D = 2400, a partial code word). Run under
+  // every encode kernel variant this CPU supports: all must give the
+  // scalar definition's bits.
   struct Geometry {
     std::size_t d, expansion;
   };
   constexpr std::size_t kRows = 17;
-  for (const Geometry g : {Geometry{64, 2}, Geometry{256, 8}, Geometry{300, 8}}) {
-    SCOPED_TRACE("d=" + std::to_string(g.d) + " x" + std::to_string(g.expansion));
-    util::Rng rng(0xE2C0DEULL + g.d);
-    Tensor rows = Tensor::randn({kRows, g.d}, rng);
-    // Rows whose projections cancel to within float rounding, so any other
-    // summation order flips bits: the big pair straddles k = 256 at d = 300.
-    float* r0 = rows.data();
-    std::fill(r0, r0 + g.d, 0.0f);
-    r0[0] = 1e8f;
-    r0[1] = -1.0f;
-    r0[2] = -1e8f;
-    rows.at(1, 5) = 1e8f;
-    rows.at(1, g.d - 20) = -1e8f;
-    rows.at(2, 0) = -3e7f;
-    rows.at(2, g.d - 1) = 3e7f;
-
-    const serve::PrototypeStore store(rows, 4.0f, g.expansion);
-    const std::size_t D = store.code_bits(), wpr = store.words_per_row();
-
-    // Reference: bit j is set iff Σ_{k=0…d−1} R[j,k]·x[k], summed in k order
-    // in float from +0, is negative; R is drawn from the store's LSH seed.
-    util::Rng lsh(store.lsh_seed());
-    const Tensor R = Tensor::rademacher({D, g.d}, lsh);
-    std::vector<std::uint64_t> want(kRows * wpr, 0);
-    for (std::size_t r = 0; r < kRows; ++r)
-      for (std::size_t j = 0; j < D; ++j) {
-        float acc = 0.0f;
-        for (std::size_t k = 0; k < g.d; ++k) acc += R.at(j, k) * rows.at(r, k);
-        if (acc < 0.0f) want[r * wpr + j / 64] |= std::uint64_t{1} << (j % 64);
-      }
-    const auto code_of = [&](std::size_t r) {
-      return std::vector<std::uint64_t>(want.begin() + r * wpr, want.begin() + (r + 1) * wpr);
-    };
-
-    EXPECT_EQ(store.packed_copy(), want) << "stored prototype codes";
-    for (std::size_t r = 0; r < kRows; ++r) {
-      EXPECT_EQ(store.encode_query(rows.data() + r * g.d), store.binary_prototype(r))
-          << "encode_query(row " << r << ") vs its stored code";
+  const struct RestorePick {
+    ~RestorePick() { serve::set_encode_kernel("auto"); }
+  } restore_pick;
+  const std::string picked = serve::encode_kernel_name();
+  EXPECT_FALSE(serve::set_encode_kernel("no-such-kernel"));
+  EXPECT_EQ(serve::encode_kernel_name(), picked) << "a refused pin changed the kernel";
+  std::vector<std::string> variants;
+  for (const char* v : {"portable", "avx2", "avx512"})
+    if (serve::set_encode_kernel(v)) {
+      EXPECT_EQ(std::string(serve::encode_kernel_name()), v);
+      variants.push_back(v);
     }
-    // Every row at every position of batches of 1, 3, 8 and 17.
-    for (std::size_t m : {1u, 3u, 8u, 17u})
-      for (std::size_t start = 0; start < kRows; ++start) {
-        Tensor batch({m, g.d});
-        for (std::size_t i = 0; i < m; ++i) {
-          const std::size_t r = (start + i) % kRows;
-          std::copy(rows.data() + r * g.d, rows.data() + (r + 1) * g.d,
-                    batch.data() + i * g.d);
-        }
-        const std::vector<std::uint64_t> got = store.encode_rows(batch);
-        for (std::size_t i = 0; i < m; ++i)
-          EXPECT_EQ(std::vector<std::uint64_t>(got.begin() + i * wpr,
-                                               got.begin() + (i + 1) * wpr),
-                    code_of((start + i) % kRows))
-              << "batch " << m << " position " << i;
+  ASSERT_TRUE(serve::set_encode_kernel("auto"));
+  EXPECT_EQ(serve::encode_kernel_name(), picked);
+  ASSERT_FALSE(variants.empty()) << "the portable variant always runs";
+  for (const std::string& variant : variants) {
+    for (const Geometry g : {Geometry{64, 2}, Geometry{256, 8}, Geometry{300, 8}}) {
+      ASSERT_TRUE(serve::set_encode_kernel(variant.c_str()));
+      SCOPED_TRACE(variant + " d=" + std::to_string(g.d) + " x" + std::to_string(g.expansion));
+      util::Rng rng(0xE2C0DEULL + g.d);
+      Tensor rows = Tensor::randn({kRows, g.d}, rng);
+      // Rows whose projections cancel to within float rounding, so any other
+      // summation order flips bits: the big pair straddles k = 256 at d = 300.
+      float* r0 = rows.data();
+      std::fill(r0, r0 + g.d, 0.0f);
+      r0[0] = 1e8f;
+      r0[1] = -1.0f;
+      r0[2] = -1e8f;
+      rows.at(1, 5) = 1e8f;
+      rows.at(1, g.d - 20) = -1e8f;
+      rows.at(2, 0) = -3e7f;
+      rows.at(2, g.d - 1) = 3e7f;
+      // IEEE edge values, exact under a sign flip: signed zeros, subnormals
+      // (some lanes sum to a subnormal or to ±0), and infinities (lanes that
+      // meet +inf and -inf sum to NaN, whose bit is clear).
+      constexpr float kTiny = std::numeric_limits<float>::denorm_min();
+      for (std::size_t k = 0; k < g.d; ++k) {
+        rows.at(3, k) = k % 2 ? -0.0f : 0.0f;
+        rows.at(4, k) =
+            k % 3 == 0 ? -0.0f : static_cast<float>(k % 7) * (k % 2 ? -kTiny : kTiny);
       }
+      rows.at(4, g.d - 1) = -std::numeric_limits<float>::min();
+      rows.at(5, 3) = std::numeric_limits<float>::infinity();
+      rows.at(6, 0) = -std::numeric_limits<float>::infinity();
+      rows.at(6, g.d - 2) = std::numeric_limits<float>::infinity();
+
+      const serve::PrototypeStore store(rows, 4.0f, g.expansion);
+      const std::size_t D = store.code_bits(), wpr = store.words_per_row();
+
+      // Reference: bit j is set iff Σ_{k=0…d−1} R[j,k]·x[k], summed in k order
+      // in float from +0, is negative; R is drawn from the store's LSH seed.
+      util::Rng lsh(store.lsh_seed());
+      const Tensor R = Tensor::rademacher({D, g.d}, lsh);
+      std::vector<std::uint64_t> want(kRows * wpr, 0);
+      for (std::size_t r = 0; r < kRows; ++r)
+        for (std::size_t j = 0; j < D; ++j) {
+          float acc = 0.0f;
+          for (std::size_t k = 0; k < g.d; ++k) acc += R.at(j, k) * rows.at(r, k);
+          if (acc < 0.0f) want[r * wpr + j / 64] |= std::uint64_t{1} << (j % 64);
+        }
+      const auto code_of = [&](std::size_t r) {
+        return std::vector<std::uint64_t>(want.begin() + r * wpr, want.begin() + (r + 1) * wpr);
+      };
+
+      EXPECT_EQ(store.packed_copy(), want) << "stored prototype codes";
+      for (std::size_t r = 0; r < kRows; ++r) {
+        EXPECT_EQ(store.encode_query(rows.data() + r * g.d), store.binary_prototype(r))
+            << "encode_query(row " << r << ") vs its stored code";
+      }
+      // Every row at every position of batches of 1, 3, 8 and 17.
+      for (std::size_t m : {1u, 3u, 8u, 17u})
+        for (std::size_t start = 0; start < kRows; ++start) {
+          Tensor batch({m, g.d});
+          for (std::size_t i = 0; i < m; ++i) {
+            const std::size_t r = (start + i) % kRows;
+            std::copy(rows.data() + r * g.d, rows.data() + (r + 1) * g.d,
+                      batch.data() + i * g.d);
+          }
+          const std::vector<std::uint64_t> got = store.encode_rows(batch);
+          for (std::size_t i = 0; i < m; ++i)
+            EXPECT_EQ(std::vector<std::uint64_t>(got.begin() + i * wpr,
+                                                 got.begin() + (i + 1) * wpr),
+                      code_of((start + i) % kRows))
+                << "batch " << m << " position " << i;
+        }
+    }
   }
 }
 

@@ -33,11 +33,11 @@ struct Tiny {
 };
 
 Tiny make_tiny(std::uint64_t seed, const std::string& attr_kind = "hdc",
-               std::size_t n_classes = 7) {
+               std::size_t n_classes = 7, std::size_t proj_dim = 64) {
   auto space = data::AttributeSpace::toy(6, 3, 9);  // α = 18
   core::ZscModelConfig mcfg;
   mcfg.image.arch = "resnet_micro_flat";
-  mcfg.image.proj_dim = 64;
+  mcfg.image.proj_dim = proj_dim;
   mcfg.attribute_encoder = attr_kind;
   mcfg.mlp_hidden = 32;
   util::Rng rng(seed);
@@ -123,6 +123,27 @@ TEST(SnapshotIO, BinaryPathRoundTripWithLshExpansion) {
   const Tensor expected = original.prototypes().score_binary(original.embed(probe));
   const Tensor actual = loaded->prototypes().score_binary(loaded->embed(probe));
   EXPECT_EQ(tensor::max_abs_diff(expected, actual), 0.0f);
+}
+
+TEST(SnapshotIO, LoadedModelCarriesNoGradientsUntilTrained) {
+  // A loaded model is built to serve: its parameters hold no zero-filled
+  // gradient buffer (as large as the weights) until a training step asks.
+  Tiny t = make_tiny(17);
+  serve::ModelSnapshot original(t.model, t.a);
+  std::stringstream buf;
+  serve::save_snapshot(buf, original);
+  const auto loaded = serve::load_snapshot(buf);
+  const std::vector<nn::Parameter*> params = loaded->model_ptr()->parameters();
+  ASSERT_FALSE(params.empty());
+  for (const nn::Parameter* p : params) EXPECT_EQ(p->grad.numel(), 0u) << p->name;
+  for (nn::Parameter* p : params) {
+    p->zero_grad();
+    EXPECT_EQ(p->grad.shape(), p->value.shape()) << p->name;
+    EXPECT_EQ(p->grad.norm(), 0.0f) << p->name;
+  }
+  // Models built outside a load keep their eager buffers.
+  for (const nn::Parameter* p : t.model->parameters())
+    EXPECT_EQ(p->grad.shape(), p->value.shape()) << p->name;
 }
 
 TEST(SnapshotIO, HdcDictionarySurvivesReload) {
@@ -392,6 +413,67 @@ TEST(PrototypeStore, GeometryValidatedOnEveryConstructionPath) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("expansion"), std::string::npos) << e.what();
   }
+}
+
+TEST(SnapshotIO, OversizedLshProjectionRejectedByNameBeforeItIsDrawn) {
+  // The projection R is d·D = d²·expansion entries, regenerated from the
+  // seed at load. A C=1, d=1024 store record at expansion 64 is only 12 KiB
+  // of rows and codes, yet would demand a 2²⁶-entry R: it must be rejected
+  // by name before R is allocated, on every construction path.
+  Tiny t = make_tiny(79, "hdc", /*n_classes=*/1, /*proj_dim=*/1024);
+  serve::ModelSnapshot snap(t.model, t.a, /*binary_expansion=*/1);  // 16 words/row
+  std::stringstream full;
+  serve::save_snapshot(full, snap);
+  const std::string bytes = full.str();
+
+  // Tail layout as in CorruptStoreGeometryRejectedByName, for C=1, d=1024.
+  constexpr std::size_t kWords = 16;
+  const std::size_t count_off = bytes.size() - 4 - 20 - 1 - 1 - 8 - 8 - 8 - kWords * 8 - 8;
+  const std::size_t scale_off = count_off - (4 + 4 + 4 + 2 * 8 + 1024 * 4) - 4;
+  const std::size_t expansion_off = scale_off - 8 - 8;
+  std::uint64_t count = 0, expansion = 0;
+  std::memcpy(&count, bytes.data() + count_off, 8);
+  std::memcpy(&expansion, bytes.data() + expansion_off, 8);
+  ASSERT_EQ(count, kWords) << "tail-layout arithmetic drifted";
+  ASSERT_EQ(expansion, 1u) << "tail-layout arithmetic drifted";
+
+  // The same record at expansion 64: 1024 packed words, all else unchanged.
+  const std::uint64_t wide = 64, wide_count = 1024;
+  std::string corrupt = bytes.substr(0, expansion_off);
+  corrupt.append(reinterpret_cast<const char*>(&wide), 8);
+  corrupt.append(bytes, expansion_off + 8, count_off - expansion_off - 8);
+  corrupt.append(reinterpret_cast<const char*>(&wide_count), 8);
+  corrupt.append(wide_count * 8, '\0');
+  corrupt.append(bytes, count_off + 8 + kWords * 8, std::string::npos);
+
+  std::istringstream in(corrupt);
+  try {
+    serve::load_snapshot(in);
+    FAIL() << "a d=1024 x64 store record loaded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("d·D"), std::string::npos) << e.what();
+  }
+  const Tensor row = snap.prototypes().normalized_copy();
+  EXPECT_THROW(serve::PrototypeStore(row, 4.0f, 64), std::invalid_argument);
+  EXPECT_THROW(serve::PrototypeStore::from_parts(row, std::vector<std::uint64_t>(1024), 4.0f,
+                                                 64, 0),
+               std::invalid_argument);
+}
+
+TEST(SnapshotIO, PaperWidthLshStoreRoundTrips) {
+  // d = 1536 at x8 (d·D ≈ 1.9·10⁷ < 2²⁶) is the paper's embedding width; the
+  // projection bound must leave it loadable, with bit-identical codes.
+  Tiny t = make_tiny(83, "hdc", /*n_classes=*/7, /*proj_dim=*/1536);
+  serve::ModelSnapshot original(t.model, t.a, /*binary_expansion=*/8);
+  std::stringstream buf;
+  serve::save_snapshot(buf, original);
+  const auto loaded = serve::load_snapshot(buf);
+  EXPECT_EQ(loaded->prototypes().code_bits(), 1536u * 8u);
+  EXPECT_EQ(loaded->prototypes().packed_copy(), original.prototypes().packed_copy());
+  util::Rng rng(89);
+  const Tensor queries = Tensor::randn({3, 1536}, rng);
+  EXPECT_EQ(loaded->prototypes().encode_rows(queries),
+            original.prototypes().encode_rows(queries));
 }
 
 // -- v4 quantization records -------------------------------------------------
