@@ -264,8 +264,11 @@ int main(int argc, char** argv) {
   const bool require_zero_transport = args.has("require-zero-transport");
   const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   util::Timer total_wall;
-  // This process's kernels: the server's when self-hosted.
-  std::printf("kernels: gemm=%s hamming=%s encode=%s\n", tensor::gemm_kernel_name(),
+  // This process's kernels. They are the server's only when self-hosted;
+  // against --connect they name the client's, and are labelled so.
+  const bool self_hosted = !args.has("connect");
+  const char* kernels_label = self_hosted ? "kernels" : "client kernels";
+  std::printf("%s: gemm=%s hamming=%s encode=%s\n", kernels_label, tensor::gemm_kernel_name(),
               hdc::hamming_kernel_name(), serve::encode_kernel_name());
 
   // -- 1. a server to load: external (--connect) or self-hosted --------------
@@ -278,7 +281,6 @@ int main(int argc, char** argv) {
   std::shared_ptr<const serve::ModelSnapshot> snapshot;
   std::unique_ptr<serve::ModelRegistry> registry;
   std::unique_ptr<net::NetServer> server;
-  const bool self_hosted = !args.has("connect");
   std::string binary_key, float_key;
   if (self_hosted) {
     if (args.has("snapshot")) {
@@ -493,10 +495,10 @@ int main(int argc, char** argv) {
     }
     std::fprintf(j, "{\n  \"bench\": \"netserve\",\n");
     std::fprintf(j,
-                 "  \"fingerprint\": {\"gemm_kernel\": \"%s\", \"hamming_kernel\": \"%s\", "
+                 "  \"%s\": {\"gemm_kernel\": \"%s\", \"hamming_kernel\": \"%s\", "
                  "\"encode_kernel\": \"%s\"},\n",
-                 tensor::gemm_kernel_name(), hdc::hamming_kernel_name(),
-                 serve::encode_kernel_name());
+                 self_hosted ? "fingerprint" : "client_fingerprint", tensor::gemm_kernel_name(),
+                 hdc::hamming_kernel_name(), serve::encode_kernel_name());
     std::fprintf(j, "  \"input\": \"%s\",\n  \"connections\": %zu,\n", input_kind.c_str(),
                  n_conns);
     std::fprintf(j, "  \"self_hosted\": %s,\n  \"k\": %zu,\n  \"dim\": %zu,\n",

@@ -25,45 +25,18 @@ struct BufferRef {
   Tensor* tensor = nullptr;
 };
 
-/// Whether Parameters built on this thread allocate their gradient
-/// accumulator up front (see NoGradientScope).
-inline bool& gradients_allocated_at_build() {
-  thread_local bool on = true;
-  return on;
-}
-
-/// While alive, Parameters built on this thread get no gradient buffer: a
-/// model built only to serve (snapshot loading) would otherwise keep a
-/// zero-filled copy of its weights' size resident. The buffer is created
-/// on first use (Parameter::grad_buffer, zero_grad), so such a model can
-/// still be trained.
-class NoGradientScope {
- public:
-  NoGradientScope() : prev_(gradients_allocated_at_build()) {
-    gradients_allocated_at_build() = false;
-  }
-  ~NoGradientScope() { gradients_allocated_at_build() = prev_; }
-  NoGradientScope(const NoGradientScope&) = delete;
-  NoGradientScope& operator=(const NoGradientScope&) = delete;
-
- private:
-  bool prev_;
-};
-
 /// A learnable tensor with its gradient accumulator.
 struct Parameter {
   Tensor value;
-  /// Shaped like value, or empty until first use when built under a
-  /// NoGradientScope; backward passes and optimizers go through
-  /// grad_buffer().
+  /// Empty until first use, so a model built only to serve (snapshot
+  /// loading) keeps no zero-filled copy of its weights' size resident;
+  /// backward passes and optimizers go through grad_buffer().
   Tensor grad;
   std::string name;
   bool requires_grad = true;
 
   explicit Parameter(Tensor v = {}, std::string n = "")
-      : value(std::move(v)),
-        grad(gradients_allocated_at_build() ? Tensor(value.shape()) : Tensor()),
-        name(std::move(n)) {}
+      : value(std::move(v)), name(std::move(n)) {}
 
   /// The gradient accumulator, created zeroed if this parameter has none.
   Tensor& grad_buffer() {

@@ -295,9 +295,7 @@ std::shared_ptr<ModelSnapshot> load_snapshot(std::istream& is) {
   const Header h = read_header(is);
 
   // Rebuild the architecture; every random initialization below is
-  // overwritten by the parameter/buffer/dictionary records. The model is
-  // built to serve, so its parameters get no gradient buffers.
-  const nn::NoGradientScope no_gradients;
+  // overwritten by the parameter/buffer/dictionary records.
   util::Rng rng(0xC0FFEEULL);
   core::ImageEncoderConfig icfg;
   icfg.arch = h.arch;

@@ -16,7 +16,7 @@ using nn::Tensor;
 void quadratic_grad(Parameter& p, const Tensor& target) {
   p.zero_grad();
   for (std::size_t i = 0; i < p.value.numel(); ++i)
-    p.grad[i] = p.value[i] - target[i];
+    p.grad_buffer()[i] = p.value[i] - target[i];
 }
 
 TEST(Sgd, ConvergesOnQuadratic) {
@@ -71,14 +71,14 @@ TEST(AdamW, SkipsFrozenParameters) {
   Parameter p(Tensor({2}, 1.0f));
   p.requires_grad = false;
   optim::AdamW opt({&p}, 0.5f, 0.5f);
-  p.grad.fill(1.0f);
+  p.grad_buffer().fill(1.0f);
   opt.step();
   EXPECT_FLOAT_EQ(p.value[0], 1.0f);
 }
 
 TEST(Optimizer, ZeroGradClears) {
   Parameter p(Tensor({2}, 1.0f));
-  p.grad.fill(3.0f);
+  p.grad_buffer().fill(3.0f);
   optim::Sgd opt({&p}, 0.1f);
   opt.zero_grad();
   EXPECT_FLOAT_EQ(p.grad[0], 0.0f);
