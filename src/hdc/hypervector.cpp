@@ -166,9 +166,11 @@ namespace {
 // std::popcount lowers to a ~12-op bit-twiddling sequence. A variant
 // compiled with the popcnt target attribute turns every count into one
 // 1/cycle instruction; the best variant the CPU supports is picked once at
-// runtime via __builtin_cpu_supports.
+// runtime via __builtin_cpu_supports. Each kernel starts a cache line, as
+// the GEMM and encode kernels do, so unrelated code motion cannot shift
+// where its hot loop falls.
 #define HDCZSC_DEFINE_HAMMING_KERNEL(suffix, attrs)                                         \
-  attrs static void hamming_rows_##suffix(                                                  \
+  attrs __attribute__((aligned(64))) static void hamming_rows_##suffix(                     \
       const std::uint64_t* query, const std::uint64_t* rows, std::size_t row_begin,         \
       std::size_t row_end, std::size_t words, std::uint32_t* out) {                         \
     for (std::size_t i = row_begin; i < row_end; ++i) {                                     \
@@ -191,7 +193,7 @@ namespace {
   /* against four queries while it sits in registers — four independent     */              \
   /* popcount chains (the single-query kernel is latency-bound on one       */              \
   /* chain at small `words`), and 1/4 the row-stream traffic.               */              \
-  attrs static void hamming_multi_##suffix(                                                 \
+  attrs __attribute__((aligned(64))) static void hamming_multi_##suffix(                    \
       const std::uint64_t* queries, std::size_t n_queries, const std::uint64_t* rows,       \
       std::size_t n_rows, std::size_t words, std::uint32_t* out) {                          \
     std::size_t q = 0;                                                                      \

@@ -8,8 +8,9 @@ Tensor ReLU::forward(const Tensor& x, bool train) {
   if (train) cached_input_ = x;
   Tensor out = x.clone();
   float* o = out.data();
-  for (std::size_t i = 0; i < out.numel(); ++i)
-    if (o[i] < 0.0f) o[i] = 0.0f;
+  // A select, not a branch: random signs would mispredict one branch per
+  // element. -0.0 and NaN pass through unchanged.
+  for (std::size_t i = 0; i < out.numel(); ++i) o[i] = o[i] < 0.0f ? 0.0f : o[i];
   return out;
 }
 
@@ -27,8 +28,7 @@ Tensor LeakyReLU::forward(const Tensor& x, bool train) {
   if (train) cached_input_ = x;
   Tensor out = x.clone();
   float* o = out.data();
-  for (std::size_t i = 0; i < out.numel(); ++i)
-    if (o[i] < 0.0f) o[i] *= slope_;
+  for (std::size_t i = 0; i < out.numel(); ++i) o[i] = o[i] < 0.0f ? o[i] * slope_ : o[i];
   return out;
 }
 

@@ -56,18 +56,24 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   for (std::size_t ch = 0; ch < c; ++ch)
     inv_std[ch] = 1.0f / std::sqrt(var[ch] + eps_);
 
-  Tensor xhat(x.shape());
+  // Eval mode writes only the output; train mode also keeps x̂ for
+  // backward. Both evaluate g * ((x - m) * is) + be in that order.
+  Tensor xhat = train ? Tensor(x.shape()) : Tensor();
   float* XH = xhat.data();
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t ch = 0; ch < c; ++ch) {
       const float m = mean[ch], is = inv_std[ch];
       const float g = gamma_.value[ch], be = beta_.value[ch];
       const float* p = X + (b * c + ch) * spatial;
-      float* xh = XH + (b * c + ch) * spatial;
       float* o = O + (b * c + ch) * spatial;
-      for (std::size_t i = 0; i < spatial; ++i) {
-        xh[i] = (p[i] - m) * is;
-        o[i] = g * xh[i] + be;
+      if (train) {
+        float* xh = XH + (b * c + ch) * spatial;
+        for (std::size_t i = 0; i < spatial; ++i) {
+          xh[i] = (p[i] - m) * is;
+          o[i] = g * xh[i] + be;
+        }
+      } else {
+        for (std::size_t i = 0; i < spatial; ++i) o[i] = g * ((p[i] - m) * is) + be;
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "nn/init.hpp"
@@ -17,24 +18,37 @@ void im2col(const float* input, std::size_t channels, std::size_t height, std::s
   const std::size_t out_w = (width + 2 * pad - kw) / stride + 1;
   const std::size_t ncols = out_h * out_w;
   const std::size_t rstride = col_stride == 0 ? ncols : col_stride;
+  const long lpad = static_cast<long>(pad), lstride = static_cast<long>(stride);
+  const long lwidth = static_cast<long>(width), lout_w = static_cast<long>(out_w);
   std::size_t row = 0;
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t ki = 0; ki < kh; ++ki) {
       for (std::size_t kj = 0; kj < kw; ++kj, ++row) {
+        // Output columns ox in [lo, hi) read input column
+        // ix = ox*stride + kj - pad inside [0, width); the rest are padding.
+        const long off = static_cast<long>(kj) - lpad;
+        const long lo = off >= 0 ? 0 : std::min(lout_w, (-off + lstride - 1) / lstride);
+        const long end = lwidth - off;  // in bounds while ox*stride < end
+        const long hi = std::clamp(end <= 0 ? 0 : (end + lstride - 1) / lstride, lo, lout_w);
+        const std::size_t ulo = static_cast<std::size_t>(lo), uhi = static_cast<std::size_t>(hi);
         float* dst = columns + row * rstride;
-        for (std::size_t oy = 0; oy < out_h; ++oy) {
-          const long iy = static_cast<long>(oy * stride + ki) - static_cast<long>(pad);
+        for (std::size_t oy = 0; oy < out_h; ++oy, dst += out_w) {
+          const long iy = static_cast<long>(oy * stride + ki) - lpad;
           if (iy < 0 || iy >= static_cast<long>(height)) {
-            std::memset(dst + oy * out_w, 0, out_w * sizeof(float));
+            std::memset(dst, 0, out_w * sizeof(float));
             continue;
           }
           const float* src_row = input + (c * height + static_cast<std::size_t>(iy)) * width;
-          for (std::size_t ox = 0; ox < out_w; ++ox) {
-            const long ix = static_cast<long>(ox * stride + kj) - static_cast<long>(pad);
-            dst[oy * out_w + ox] =
-                (ix < 0 || ix >= static_cast<long>(width)) ? 0.0f
-                                                           : src_row[static_cast<std::size_t>(ix)];
+          std::memset(dst, 0, ulo * sizeof(float));
+          if (uhi > ulo) {
+            const float* src = src_row + (lo * lstride + off);
+            if (stride == 1) {
+              std::memcpy(dst + ulo, src, (uhi - ulo) * sizeof(float));
+            } else {
+              for (std::size_t ox = ulo; ox < uhi; ++ox, src += stride) dst[ox] = *src;
+            }
           }
+          std::memset(dst + uhi, 0, (out_w - uhi) * sizeof(float));
         }
       }
     }
@@ -89,35 +103,25 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   Tensor y({batch, out_c_, oh, ow});
   const std::size_t krows = in_c_ * k_ * k_;
   const std::size_t ncols = oh * ow;
-  const std::size_t total = batch * ncols;
   const float* W = w_.value.data();
   const float* X = x.data();
   float* Y = y.data();
 
-  // Whole-batch column matrix [krows, batch*ncols]: image b owns the
-  // contiguous column slice [b*ncols, (b+1)*ncols).
-  float* cols = tensor::scratch_f32(tensor::kScratchConvCols, krows * total);
+  // One image at a time: its [krows, oh*ow] column matrix stays cache-sized
+  // whatever the batch, and the GEMM writes that image's NCHW output slice
+  // [out_c, oh*ow] directly. Images fan out across workers; each fetches
+  // its own thread-local column scratch.
   util::parallel_for(0, batch, [&](std::size_t b) {
-    im2col(X + b * in_c_ * h * w, in_c_, h, w, k_, k_, stride_, pad_, cols + b * ncols, total);
-  }, 1);
-
-  // One GEMM for the whole batch: out[out_c, batch*ncols] = W_flat * cols.
-  float* out = tensor::scratch_f32(tensor::kScratchConvOut, out_c_ * total);
-  std::memset(out, 0, out_c_ * total * sizeof(float));
-  tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::N, out_c_, total, krows, W, krows,
-                          cols, total, out, total);
-
-  // Scatter channel-major GEMM rows back to NCHW, folding in the bias.
-  util::parallel_for(0, batch, [&](std::size_t b) {
-    float* yb = Y + b * out_c_ * ncols;
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      const float* src = out + oc * total + b * ncols;
-      float* yrow = yb + oc * ncols;
-      if (has_bias_) {
+    float* cols = tensor::scratch_f32(tensor::kScratchConvCols, krows * ncols);
+    im2col(X + b * in_c_ * h * w, in_c_, h, w, k_, k_, stride_, pad_, cols);
+    float* yb = Y + b * out_c_ * ncols;  // y starts zeroed
+    tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::N, out_c_, ncols, krows, W, krows,
+                            cols, ncols, yb, ncols);
+    if (has_bias_) {
+      for (std::size_t oc = 0; oc < out_c_; ++oc) {
         const float bv = b_.value[oc];
-        for (std::size_t c = 0; c < ncols; ++c) yrow[c] = src[c] + bv;
-      } else {
-        std::memcpy(yrow, src, ncols * sizeof(float));
+        float* yrow = yb + oc * ncols;
+        for (std::size_t c = 0; c < ncols; ++c) yrow[c] += bv;
       }
     }
   }, 1);

@@ -1,15 +1,19 @@
-// 2-D convolution via whole-batch im2col + one GEMM per direction.
+// 2-D convolution via im2col + blocked GEMM.
 // Input layout is NCHW; weight layout is [out_c, in_c, kh, kw].
 //
-// forward unfolds the entire batch into a single [in_c*kh*kw, B*oh*ow]
-// column matrix (each image owns a contiguous column slice) and runs one
-// blocked GEMM against the flattened weights; backward reuses the same
-// matrix for dW (one GEMM against the gathered output grads) and dx (one
-// transposed GEMM + per-image col2im). All workspaces live in thread-local
-// tensor::scratch slots, so steady-state passes perform no workspace
-// allocation (asserted via scratch_grow_count in tests; the output/grad
-// Tensors themselves are still allocated per call) and concurrent eval-mode
-// forwards on a shared layer stay race-free.
+// forward runs one image at a time, images spread over util::parallel_for
+// workers: im2col into a [in_c*kh*kw, oh*ow] column matrix (cache-sized
+// whatever the batch), then one blocked GEMM against the flattened weights
+// written straight into that image's NCHW output slice, bias added in
+// place. Every image's output is bit-identical to a one-image forward.
+// backward unfolds the whole batch into one [in_c*kh*kw, B*oh*ow] matrix
+// (each image owns a contiguous column slice) for dW (one GEMM against the
+// gathered output grads) and dx (one transposed GEMM + per-image col2im).
+// All workspaces live in thread-local tensor::scratch slots, so
+// steady-state passes perform no workspace allocation (asserted via
+// scratch_grow_count in tests; the output/grad Tensors themselves are still
+// allocated per call) and concurrent eval-mode forwards on a shared layer
+// stay race-free.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -19,8 +23,10 @@ namespace hdczsc::nn {
 
 /// Unfold input [C, H, W] into columns [C*kh*kw, out_h*out_w]. When
 /// `col_stride` is nonzero the destination rows are spaced `col_stride`
-/// floats apart (used to write one image's slice of a whole-batch column
-/// matrix); 0 means tightly packed (out_h*out_w).
+/// floats apart (used to write one image's slice of the backward pass's
+/// whole-batch column matrix); 0 means tightly packed (out_h*out_w). Each
+/// output row is copied as zero-fill / contiguous run / zero-fill, with the
+/// in-bounds range worked out once per kernel offset.
 void im2col(const float* input, std::size_t channels, std::size_t height, std::size_t width,
             std::size_t kh, std::size_t kw, std::size_t stride, std::size_t pad, float* columns,
             std::size_t col_stride = 0);

@@ -80,8 +80,7 @@ void im2col_u8(const float* input, std::size_t channels, std::size_t height, std
 void relu_inplace(Tensor& t) {
   float* d = t.data();
   const std::size_t n = t.numel();
-  for (std::size_t i = 0; i < n; ++i)
-    if (d[i] < 0.0f) d[i] = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) d[i] = d[i] < 0.0f ? 0.0f : d[i];  // select, no branch
 }
 
 void add_relu_inplace(Tensor& h, const Tensor& identity) {

@@ -94,7 +94,7 @@ tensor::Tensor InferenceEngine::embed_inputs(const tensor::Tensor& inputs,
                                              double* embed_ms) const {
   // Split inference: a [B, d] batch already *is* the embedding (the
   // backbone ran on the client/edge — examples/edge_inference) and only
-  // needs a width check; images run the whole-batch eval-mode forward.
+  // needs a width check; images run the snapshot's eval-mode embed.
   if (inputs.dim() == 2) {
     if (inputs.size(1) != snapshot_->dim())
       throw std::invalid_argument(
@@ -163,12 +163,12 @@ std::vector<std::vector<TopK>> InferenceEngine::topk_batch(const tensor::Tensor&
 
 std::vector<Prediction> InferenceEngine::classify_batch(const tensor::Tensor& inputs,
                                                         BatchTimings* timings) const {
-  // One coalesced forward end-to-end: the backbone runs a single whole-batch
-  // im2col + GEMM per conv layer (tensor/gemm.hpp), so a batch of B images
-  // is substantially cheaper than B single-image forwards — dynamic batching
-  // now amortizes the embed, not just the prototype scan. The embed runs
-  // here (not inside logits/topk_batch) so the two stages can be timed
-  // separately for the per-request tracer; the computation is unchanged.
+  // One coalesced forward end-to-end: the conv layers spread the batch's
+  // images over the worker pool and the projection runs one GEMM for the
+  // whole batch on its once-packed weight, so dynamic batching amortizes
+  // the embed, not just the prototype scan. The embed runs here (not inside
+  // logits/topk_batch) so the two stages can be timed separately for the
+  // per-request tracer; the computation is unchanged.
   double embed_ms = 0.0;
   tensor::Tensor emb = embed_inputs(inputs, &embed_ms);
   util::Timer clock;

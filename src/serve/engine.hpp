@@ -1,10 +1,11 @@
 // Inference engine: execution wrapper over a ModelSnapshot that serves an
 // *evolving* label space through immutable store versions.
 //
-// classify_batch runs the eval-mode embed once for the whole batch — the
-// CNN backbone does one whole-batch im2col + blocked GEMM per conv layer,
-// so batching speeds up the embed itself, not just what follows — then
-// scores against the pinned prototype store via either
+// classify_batch runs the eval-mode embed once for the whole batch — each
+// conv layer spreads the batch's images over the worker pool (per-image
+// im2col + blocked GEMM) and the projection multiplies the whole batch by
+// its once-packed weight — then scores against the pinned prototype store
+// via either
 //  * kFloatCosine   — s · cosine(e, ϕ(A)), bit-identical to
 //                     ZscModel::class_logits in eval mode, or
 //  * kBinaryHamming — sign-binarized query vs. bit-packed prototypes,

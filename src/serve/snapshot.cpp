@@ -1,11 +1,18 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
 
 #include "serve/ann_store.hpp"
+#include "tensor/gemm.hpp"
 
 namespace hdczsc::serve {
+
+struct ModelSnapshot::ProjectionPack {
+  std::once_flag once;
+  tensor::PackedB weight;  // op(B) = Wᵀ of the projection FC [out, in]
+};
 
 namespace {
 std::shared_ptr<const PrototypeStore> build_store(
@@ -27,7 +34,8 @@ ModelSnapshot::ModelSnapshot(std::shared_ptr<core::ZscModel> model,
     : model_(std::move(model)),
       class_attributes_(class_attributes),
       store_(build_store(model_, class_attributes, binary_expansion)),
-      preferred_shards_(preferred_shards == 0 ? 1 : preferred_shards) {
+      preferred_shards_(preferred_shards == 0 ? 1 : preferred_shards),
+      projection_pack_(std::make_shared<ProjectionPack>()) {
   adopt_seen_mask(std::move(seen_mask));
 }
 
@@ -37,7 +45,8 @@ ModelSnapshot::ModelSnapshot(std::shared_ptr<core::ZscModel> model,
     : model_(std::move(model)),
       class_attributes_(std::move(class_attributes)),
       store_(std::make_shared<const PrototypeStore>(std::move(store))),
-      preferred_shards_(preferred_shards == 0 ? 1 : preferred_shards) {
+      preferred_shards_(preferred_shards == 0 ? 1 : preferred_shards),
+      projection_pack_(std::make_shared<ProjectionPack>()) {
   if (!model_) throw std::invalid_argument("ModelSnapshot: null model");
   if (model_->dim() != store_->dim())
     throw std::invalid_argument("ModelSnapshot: model dim " + std::to_string(model_->dim()) +
@@ -59,7 +68,31 @@ void ModelSnapshot::adopt_seen_mask(std::vector<std::uint8_t> seen_mask) {
 }
 
 tensor::Tensor ModelSnapshot::embed(const tensor::Tensor& images) const {
-  return model_->image_encoder().forward(images, /*train=*/false);
+  core::ImageEncoder& enc = model_->image_encoder();
+  tensor::Tensor h = enc.backbone().forward(images, /*train=*/false);
+  nn::Linear* fc = enc.projection();
+  if (!fc) return h;
+  const std::size_t in = fc->in_features(), out = fc->out_features();
+  if (h.dim() != 2 || h.size(1) != in)
+    throw std::invalid_argument("ModelSnapshot::embed: backbone output " +
+                                tensor::shape_str(h.shape()) +
+                                " incompatible with in_features=" + std::to_string(in));
+  // Linear::forward's y = x Wᵀ + b, with Wᵀ packed once instead of per call.
+  std::call_once(projection_pack_->once, [&] {
+    projection_pack_->weight =
+        tensor::PackedB(tensor::Trans::T, in, out, fc->weight().value.data(), in);
+  });
+  const std::size_t batch = h.size(0);
+  tensor::Tensor y({batch, out});
+  float* Y = y.data();
+  tensor::gemm_accumulate_packed(tensor::Trans::N, batch, h.data(), in, projection_pack_->weight,
+                                 Y, out);
+  if (fc->has_bias()) {
+    const float* B = fc->bias().value.data();
+    for (std::size_t i = 0; i < batch; ++i)
+      for (std::size_t j = 0; j < out; ++j) Y[i * out + j] += B[j];
+  }
+  return y;
 }
 
 tensor::Tensor ModelSnapshot::embed_int8(const tensor::Tensor& images) const {

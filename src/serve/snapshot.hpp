@@ -68,7 +68,11 @@ class ModelSnapshot {
   const std::vector<std::uint8_t>& seen_mask() const { return seen_mask_; }
 
   /// Eval-mode image-encoder forward: embeddings [B, d] from images
-  /// [B, 3, S, S]. Thread-safe (no train-mode caching is touched).
+  /// [B, 3, S, S], byte-identical to ImageEncoder::forward(images, false).
+  /// The projection runs as a GEMM on its weight packed once, on the first
+  /// image embed (so embedding-only traffic never holds the packed copy).
+  /// Thread-safe (no train-mode caching is touched; the one-time pack is
+  /// synchronized).
   tensor::Tensor embed(const tensor::Tensor& images) const;
 
   /// INT8 embed path — same contract as embed(), computed through the
@@ -150,6 +154,9 @@ class ModelSnapshot {
   std::size_t n_seen_ = 0;               // popcount of seen_mask_ (cached)
   std::shared_ptr<const nn::QuantizedEmbed> quant_;  // optional INT8 artifact
   std::shared_ptr<const IvfIndex> ivf_;              // optional IVF coarse index
+  // Lazily packed projection weight; shared by copies, which share model_.
+  struct ProjectionPack;
+  std::shared_ptr<ProjectionPack> projection_pack_;
 
   void adopt_seen_mask(std::vector<std::uint8_t> seen_mask);
 };

@@ -214,16 +214,19 @@ void gemm_naive(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
   }
 }
 
-void gemm_accumulate(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
-                     const float* A, std::size_t lda, const float* B, std::size_t ldb, float* C,
-                     std::size_t ldc) {
-  if (m == 0 || n == 0 || k == 0) return;
-  const obs::ScopedTimer profile(gemm_hist());
-  if (m * n * k < kNaiveCutoff) {
-    gemm_naive(ta, tb, m, n, k, A, lda, B, ldb, C, ldc);
-    return;
-  }
-  const KernelConfig& cfg = kernel();
+namespace {
+
+/// Round `x` up to a multiple of `tile`.
+std::size_t round_up(std::size_t x, std::size_t tile) { return (x + tile - 1) / tile * tile; }
+
+/// The blocked loop nest shared by gemm_accumulate and gemm_accumulate_packed.
+/// `panel_b(pc, jc, kc, nc)` returns op(B)[pc:pc+kc, jc:jc+nc] as NR-wide
+/// panels — packed on the fly or read from a once-packed operand — so both
+/// entries run the same blocking, task grid and micro-kernel.
+template <typename PanelB>
+void run_blocked(const KernelConfig& cfg, Trans ta, std::size_t m, std::size_t n,
+                 std::size_t k, const float* A, std::size_t lda, float* C, std::size_t ldc,
+                 const PanelB& panel_b) {
   // Shrink the row-block height when the (jc, ic) grid alone would leave
   // workers idle (e.g. Linear layers: m = batch <= 128, n <= 1024 is a
   // single MC x NC block). Extra row blocks re-pack B redundantly, so only
@@ -236,32 +239,84 @@ void gemm_accumulate(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size
     if (want_iblocks > 1) {
       std::size_t per = (m + want_iblocks - 1) / want_iblocks;
       per = std::max(per, 2 * cfg.mr);
-      mc_blk = std::min(kMC, (per + cfg.mr - 1) / cfg.mr * cfg.mr);
+      mc_blk = std::min(kMC, round_up(per, cfg.mr));
     }
   }
   const std::size_t n_iblocks = (m + mc_blk - 1) / mc_blk;
   const std::size_t n_jblocks = (n + kNC - 1) / kNC;
 
-  // Flattened (jc, ic) task grid: every task packs its own panels into
-  // thread-local scratch, so workers never share pack buffers. B sub-panels
-  // are re-packed once per row block of the same column block — redundant
-  // work that is O(k*n) against the O(m*n*k) compute it unlocks.
+  // Flattened (jc, ic) task grid: every task packs its own A panels into
+  // thread-local scratch, so workers never share pack buffers.
   util::parallel_for(0, n_iblocks * n_jblocks, [&](std::size_t task) {
     const std::size_t ic = (task % n_iblocks) * mc_blk;
     const std::size_t jc = (task / n_iblocks) * kNC;
     const std::size_t mc = std::min(mc_blk, m - ic);
     const std::size_t nc = std::min(kNC, n - jc);
-    const std::size_t mc_padded = (mc + cfg.mr - 1) / cfg.mr * cfg.mr;
-    const std::size_t nc_padded = (nc + cfg.nr - 1) / cfg.nr * cfg.nr;
-    float* apack = scratch_f32(kScratchGemmPackA, mc_padded * kKC);
-    float* bpack = scratch_f32(kScratchGemmPackB, nc_padded * kKC);
+    float* apack = scratch_f32(kScratchGemmPackA, round_up(mc, cfg.mr) * kKC);
     for (std::size_t pc = 0; pc < k; pc += kKC) {
       const std::size_t kc = std::min(kKC, k - pc);
-      pack_b(B, ldb, tb, pc, jc, kc, nc, cfg.nr, bpack);
+      const float* bpack = panel_b(pc, jc, kc, nc);
       pack_a(A, lda, ta, ic, pc, mc, kc, cfg.mr, apack);
       cfg.macro(apack, bpack, mc, nc, kc, C + ic * ldc + jc, ldc);
     }
   }, 1);
+}
+
+}  // namespace
+
+void gemm_accumulate(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
+                     const float* A, std::size_t lda, const float* B, std::size_t ldb, float* C,
+                     std::size_t ldc) {
+  if (m == 0 || n == 0 || k == 0) return;
+  const obs::ScopedTimer profile(gemm_hist());
+  if (m * n * k < kNaiveCutoff) {
+    gemm_naive(ta, tb, m, n, k, A, lda, B, ldb, C, ldc);
+    return;
+  }
+  const KernelConfig& cfg = kernel();
+  // B sub-panels are re-packed once per row block of the same column block
+  // — redundant work that is O(k*n) against the O(m*n*k) compute it unlocks.
+  run_blocked(cfg, ta, m, n, k, A, lda, C, ldc,
+              [&](std::size_t pc, std::size_t jc, std::size_t kc, std::size_t nc) {
+                float* bpack = scratch_f32(kScratchGemmPackB, round_up(nc, cfg.nr) * kKC);
+                pack_b(B, ldb, tb, pc, jc, kc, nc, cfg.nr, bpack);
+                return static_cast<const float*>(bpack);
+              });
+}
+
+PackedB::PackedB(Trans tb, std::size_t k, std::size_t n, const float* B, std::size_t ldb)
+    : tb_(tb), k_(k), n_(n), ldb_(ldb), src_(B), nr_(kernel().nr) {
+  if (k == 0 || n == 0) return;
+  // Column block jc/NC occupies round_up(nc, NR) * k floats, its KC blocks
+  // in depth order; offset(pc, jc) finds the block gemm_accumulate would
+  // have packed into scratch for that (pc, jc).
+  panels_.resize((n / kNC) * round_up(kNC, nr_) * k + round_up(n % kNC, nr_) * k);
+  for (std::size_t jc = 0; jc < n; jc += kNC) {
+    const std::size_t nc = std::min(kNC, n - jc);
+    for (std::size_t pc = 0; pc < k; pc += kKC)
+      pack_b(B, ldb, tb, pc, jc, std::min(kKC, k - pc), nc, nr_, panels_.data() + offset(pc, jc));
+  }
+}
+
+std::size_t PackedB::offset(std::size_t pc, std::size_t jc) const {
+  const std::size_t nc = std::min(kNC, n_ - jc);
+  return (jc / kNC) * round_up(kNC, nr_) * k_ + pc * round_up(nc, nr_);
+}
+
+void gemm_accumulate_packed(Trans ta, std::size_t m, const float* A, std::size_t lda,
+                            const PackedB& B, float* C, std::size_t ldc) {
+  const std::size_t n = B.n_, k = B.k_;
+  if (m == 0 || n == 0 || k == 0) return;
+  const obs::ScopedTimer profile(gemm_hist());
+  if (m * n * k < kNaiveCutoff) {
+    gemm_naive(ta, B.tb_, m, n, k, A, lda, B.src_, B.ldb_, C, ldc);
+    return;
+  }
+  const KernelConfig& cfg = kernel();
+  run_blocked(cfg, ta, m, n, k, A, lda, C, ldc,
+              [&](std::size_t pc, std::size_t jc, std::size_t, std::size_t) {
+                return B.panels_.data() + B.offset(pc, jc);
+              });
 }
 
 }  // namespace hdczsc::tensor

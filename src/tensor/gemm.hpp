@@ -1,9 +1,10 @@
 // Cache-blocked single-precision GEMM over raw row-major buffers.
 //
 // This is the compute core every dense hot path routes through:
-// tensor::matmul / matmul_nt / matmul_tn, Linear forward/backward, and the
-// whole-batch im2col convolution. The design is the classic three-level
-// blocking scheme (BLIS-style):
+// tensor::matmul / matmul_nt / matmul_tn, Linear forward/backward, the
+// per-image im2col convolution, and the served projection (through the
+// once-packed entry below). The design is the classic three-level blocking
+// scheme (BLIS-style):
 //
 //   * B is packed into NR-wide column panels (KC x NC block),
 //   * A is packed into MR-tall row panels (MC x KC block),
@@ -19,9 +20,15 @@
 // variant the CPU supports is selected once at runtime. Row blocks fan out
 // across util::parallel_for workers; transposed operands are handled inside
 // the packing routines so all variants share one kernel.
+//
+// A right-hand operand that many calls share (a served model's frozen
+// projection weight) can be packed once into a PackedB;
+// gemm_accumulate_packed then runs the same blocking and micro-kernel on
+// the stored panels instead of re-packing them per call.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 namespace hdczsc::tensor {
 
@@ -42,6 +49,41 @@ enum class Trans : unsigned char { N, T };
 void gemm_accumulate(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
                      const float* A, std::size_t lda, const float* B, std::size_t ldb, float* C,
                      std::size_t ldc);
+
+/// op(B) [k, n] packed once into the blocked kernel's NR-wide panels, in
+/// the layout gemm_accumulate packs into scratch per call. Packing only
+/// moves data, so gemm_accumulate_packed gives the same bits as
+/// gemm_accumulate on the source operand. The source must outlive the
+/// pack and stay unchanged: products below the blocking cutoff run
+/// gemm_naive on it directly, exactly as gemm_accumulate does.
+class PackedB {
+ public:
+  PackedB() = default;
+  /// Pack op(B) with op as in gemm_accumulate: B is [k, n] (Trans::N) or
+  /// [n, k] (Trans::T) with leading dimension ldb.
+  PackedB(Trans tb, std::size_t k, std::size_t n, const float* B, std::size_t ldb);
+
+  std::size_t k() const { return k_; }
+  std::size_t n() const { return n_; }
+
+ private:
+  friend void gemm_accumulate_packed(Trans ta, std::size_t m, const float* A, std::size_t lda,
+                                     const PackedB& B, float* C, std::size_t ldc);
+  /// Start of the panels for op(B)[pc:pc+KC, jc:jc+NC].
+  std::size_t offset(std::size_t pc, std::size_t jc) const;
+
+  Trans tb_ = Trans::N;
+  std::size_t k_ = 0, n_ = 0, ldb_ = 0;
+  const float* src_ = nullptr;
+  std::size_t nr_ = 0;
+  std::vector<float> panels_;
+};
+
+/// C[m, n] += op(A) * B for a once-packed B — same contract, bits and
+/// threading as gemm_accumulate(ta, tb, m, B.n(), B.k(), A, lda, src, ldb,
+/// C, ldc).
+void gemm_accumulate_packed(Trans ta, std::size_t m, const float* A, std::size_t lda,
+                            const PackedB& B, float* C, std::size_t ldc);
 
 /// Reference implementation with the same contract (triple loop, no packing,
 /// no threading). Kept for equivalence tests and speedup benchmarks.

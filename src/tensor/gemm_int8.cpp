@@ -119,8 +119,9 @@ using MacroKernelFn = void (*)(const std::int8_t* apack, const std::uint8_t* bpa
 // int loops — the compiler widens to whatever the baseline target offers.
 // ---------------------------------------------------------------------------
 
-void micro_portable(const std::int8_t* a, const std::uint8_t* b, std::size_t kg,
-                    std::int32_t* C, std::size_t ldc, std::size_t mr, std::size_t nr) {
+__attribute__((aligned(64)))
+void micro_portable(const std::int8_t* a, const std::uint8_t* b, std::size_t kg, std::int32_t* C,
+                    std::size_t ldc, std::size_t mr, std::size_t nr) {
   constexpr std::size_t MR = 4, NR = 8;
   std::int32_t acc[MR][NR] = {};
   for (std::size_t g = 0; g < kg; ++g) {
@@ -141,6 +142,7 @@ void micro_portable(const std::int8_t* a, const std::uint8_t* b, std::size_t kg,
     for (std::size_t j = 0; j < nr; ++j) C[i * ldc + j] += acc[i][j];
 }
 
+__attribute__((aligned(64)))
 void macro_portable(const std::int8_t* apack, const std::uint8_t* bpack, std::size_t mc,
                     std::size_t nc, std::size_t kg, std::int32_t* C, std::size_t ldc) {
   constexpr std::size_t MR = 4, NR = 8;
@@ -171,10 +173,9 @@ __attribute__((target("avx2"))) inline __m256i bcast_quad(const std::int8_t* p) 
   return _mm256_set1_epi32(w);
 }
 
-__attribute__((target("avx2"))) void micro_avx2(const std::int8_t* a, const std::uint8_t* b,
-                                                std::size_t kg, std::int32_t* C,
-                                                std::size_t ldc, std::size_t mr,
-                                                std::size_t nr) {
+__attribute__((target("avx2"), aligned(64)))
+void micro_avx2(const std::int8_t* a, const std::uint8_t* b, std::size_t kg, std::int32_t* C,
+                std::size_t ldc, std::size_t mr, std::size_t nr) {
   constexpr std::size_t MR = 4, NR = 16;
   const __m256i ones = _mm256_set1_epi16(1);
   __m256i acc[MR][2];
@@ -212,10 +213,9 @@ __attribute__((target("avx2"))) void micro_avx2(const std::int8_t* a, const std:
   }
 }
 
-__attribute__((target("avx2"))) void macro_avx2(const std::int8_t* apack,
-                                               const std::uint8_t* bpack, std::size_t mc,
-                                               std::size_t nc, std::size_t kg, std::int32_t* C,
-                                               std::size_t ldc) {
+__attribute__((target("avx2"), aligned(64)))
+void macro_avx2(const std::int8_t* apack, const std::uint8_t* bpack, std::size_t mc, std::size_t nc,
+                std::size_t kg, std::int32_t* C, std::size_t ldc) {
   constexpr std::size_t MR = 4, NR = 16;
   for (std::size_t jr = 0; jr < nc; jr += NR) {
     const std::size_t nr = std::min(NR, nc - jr);
@@ -236,11 +236,9 @@ __attribute__((target("avx2"))) void macro_avx2(const std::int8_t* apack,
 
 #define HDCZSC_VNNI_TARGET "avx512f,avx512bw,avx512vl,avx512vnni"
 
-__attribute__((target(HDCZSC_VNNI_TARGET))) void micro_vnni(const std::int8_t* a,
-                                                            const std::uint8_t* b,
-                                                            std::size_t kg, std::int32_t* C,
-                                                            std::size_t ldc, std::size_t mr,
-                                                            std::size_t nr) {
+__attribute__((target(HDCZSC_VNNI_TARGET), aligned(64)))
+void micro_vnni(const std::int8_t* a, const std::uint8_t* b, std::size_t kg, std::int32_t* C,
+                std::size_t ldc, std::size_t mr, std::size_t nr) {
   constexpr std::size_t MR = 4, NR = 32;
   __m512i acc[MR][2];
   for (std::size_t i = 0; i < MR; ++i) acc[i][0] = acc[i][1] = _mm512_setzero_si512();
@@ -275,11 +273,9 @@ __attribute__((target(HDCZSC_VNNI_TARGET))) void micro_vnni(const std::int8_t* a
   }
 }
 
-__attribute__((target(HDCZSC_VNNI_TARGET))) void macro_vnni(const std::int8_t* apack,
-                                                            const std::uint8_t* bpack,
-                                                            std::size_t mc, std::size_t nc,
-                                                            std::size_t kg, std::int32_t* C,
-                                                            std::size_t ldc) {
+__attribute__((target(HDCZSC_VNNI_TARGET), aligned(64)))
+void macro_vnni(const std::int8_t* apack, const std::uint8_t* bpack, std::size_t mc, std::size_t nc,
+                std::size_t kg, std::int32_t* C, std::size_t ldc) {
   constexpr std::size_t MR = 4, NR = 32;
   for (std::size_t jr = 0; jr < nc; jr += NR) {
     const std::size_t nr = std::min(NR, nc - jr);

@@ -1,10 +1,11 @@
 // Equivalence and steady-state-allocation tests for the blocked GEMM compute
-// core (tensor/gemm.hpp) and the whole-batch im2col convolution that rides
-// on it.
+// core (tensor/gemm.hpp), its once-packed entry, and the per-image im2col
+// convolution that rides on it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "hdc/hypervector.hpp"
@@ -155,6 +156,54 @@ TEST(Gemm, KernelNameIsKnownVariant) {
   EXPECT_TRUE(name == "avx512" || name == "avx2" || name == "portable") << name;
 }
 
+// -- once-packed B (PackedB + gemm_accumulate_packed) ------------------------
+
+TEST(GemmPacked, BitIdenticalToGemmAccumulate) {
+  // Packing is data movement only: the packed entry must give the very bits
+  // gemm_accumulate gives on the source operand — on the blocked path
+  // (several KC depth blocks, several NC column blocks, ragged NR panels)
+  // and below the blocking cutoff, where both take gemm_naive — with one
+  // worker and with the row-block grid split over four.
+  struct Shape3 {
+    std::size_t m, n, k;
+  };
+  const Shape3 shapes[] = {{1, 256, 2048}, {8, 256, 2048}, {5, 1100, 300},
+                           {37, 61, 70},   {3, 8, 32},     {4, 10, 10}};
+  util::Rng rng(24);
+  for (std::size_t workers : {1u, 4u}) {
+    util::set_worker_count(workers);
+    for (const Shape3& sh : shapes) {
+      for (Trans ta : {Trans::N, Trans::T}) {
+        for (Trans tb : {Trans::N, Trans::T}) {
+          const std::size_t lda = ta == Trans::N ? sh.k : sh.m;
+          const std::size_t ldb = tb == Trans::N ? sh.n : sh.k;
+          std::vector<float> A(sh.m * sh.k), B(sh.k * sh.n);
+          for (auto& v : A) v = static_cast<float>(rng.normal(0.0, 1.0));
+          for (auto& v : B) v = static_cast<float>(rng.normal(0.0, 1.0));
+          const tensor::PackedB packed(tb, sh.k, sh.n, B.data(), ldb);
+          ASSERT_EQ(packed.k(), sh.k);
+          ASSERT_EQ(packed.n(), sh.n);
+          std::vector<float> want(sh.m * sh.n, 0.5f), got(sh.m * sh.n, 0.5f);
+          tensor::gemm_accumulate(ta, tb, sh.m, sh.n, sh.k, A.data(), lda, B.data(), ldb,
+                                  want.data(), sh.n);
+          tensor::gemm_accumulate_packed(ta, sh.m, A.data(), lda, packed, got.data(), sh.n);
+          ASSERT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0)
+              << "m=" << sh.m << " n=" << sh.n << " k=" << sh.k << " workers=" << workers
+              << " ta=" << (ta == Trans::T) << " tb=" << (tb == Trans::T);
+        }
+      }
+    }
+  }
+  util::set_worker_count(0);
+}
+
+TEST(GemmPacked, EmptyOperandIsANoOp) {
+  const tensor::PackedB empty;
+  float c = 1.5f;
+  tensor::gemm_accumulate_packed(Trans::N, 1, nullptr, 0, empty, &c, 1);
+  EXPECT_EQ(c, 1.5f);
+}
+
 // -- int8 GEMM (tensor/gemm_int8.hpp) ----------------------------------------
 
 /// Fill one (m, n, k) problem with contract-range codes (A in ±63, B full
@@ -241,7 +290,7 @@ TEST(GemmInt8, KernelNameIsKnownVariantAndForceRejectsUnknown) {
   EXPECT_TRUE(tensor::gemm_int8_force_kernel("auto"));
 }
 
-// -- conv through the batched path -------------------------------------------
+// -- conv through the per-image GEMM path -------------------------------------
 
 /// Seed-style reference conv forward: per-image im2col + naive axpy loops.
 Tensor conv_reference_forward(nn::Conv2d& conv, const Tensor& x, const Tensor& w,
@@ -291,6 +340,43 @@ TEST(GemmConv, StridedNoPadForwardMatchesPerImageReference) {
   Tensor w = conv.parameters()[0]->value;
   Tensor ref = conv_reference_forward(conv, x, w, Tensor({6}), false);
   EXPECT_LT(tensor::max_abs_diff(y, ref), 1e-4f);
+}
+
+TEST(GemmConv, BatchForwardEqualsOneImageForwardsBitwise) {
+  // A batch of B images must give, byte for byte, what B one-image forwards
+  // give — with and without bias, strided, and with the images spread over
+  // pool workers.
+  util::Rng rng(21);
+  struct ConvCase {
+    std::size_t in_c, out_c, k, stride, pad;
+    bool bias;
+    std::size_t h, w;
+  };
+  const ConvCase cases[] = {{3, 8, 3, 1, 1, true, 32, 32},
+                            {8, 16, 3, 2, 1, false, 16, 12},
+                            {8, 16, 1, 2, 0, false, 16, 16},
+                            {4, 6, 5, 2, 3, true, 9, 13}};
+  for (std::size_t workers : {1u, 4u}) {
+    util::set_worker_count(workers);
+    for (const ConvCase& cc : cases) {
+      nn::Conv2d conv(cc.in_c, cc.out_c, cc.k, cc.stride, cc.pad, rng, cc.bias);
+      if (cc.bias) conv.bias().value = Tensor::randn({cc.out_c}, rng);
+      const std::size_t batch = 5;
+      Tensor x = Tensor::randn({batch, cc.in_c, cc.h, cc.w}, rng);
+      Tensor y = conv.forward(x, /*train=*/false);
+      const std::size_t per_in = cc.in_c * cc.h * cc.w, per_out = y.numel() / batch;
+      for (std::size_t b = 0; b < batch; ++b) {
+        Tensor xb({1, cc.in_c, cc.h, cc.w});
+        std::memcpy(xb.data(), x.data() + b * per_in, per_in * sizeof(float));
+        Tensor yb = conv.forward(xb, /*train=*/false);
+        ASSERT_EQ(yb.numel(), per_out);
+        EXPECT_EQ(std::memcmp(yb.data(), y.data() + b * per_out, per_out * sizeof(float)), 0)
+            << "image " << b << " k=" << cc.k << " stride=" << cc.stride
+            << " workers=" << workers;
+      }
+    }
+  }
+  util::set_worker_count(0);
 }
 
 TEST(GemmConv, SteadyStateForwardDoesNotAllocateScratch) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
@@ -53,6 +56,25 @@ TEST(ReLU, ClampsNegative) {
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[1], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 2.0f);
+}
+
+TEST(ReLU, KeepsNegativeZeroAndNaN) {
+  // Only x < 0 is clamped: -0.0 and NaN pass through unchanged.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  nn::ReLU relu;
+  Tensor y = relu.forward(Tensor::from_vector({-0.0f, nan, -nan, -3.0f}), false);
+  EXPECT_EQ(y[0], 0.0f);
+  EXPECT_TRUE(std::signbit(y[0])) << "-0.0 must stay -0.0";
+  EXPECT_TRUE(std::isnan(y[1]));
+  EXPECT_TRUE(std::isnan(y[2]));
+  EXPECT_FALSE(std::signbit(y[3]));
+
+  nn::LeakyReLU leaky(0.5f);
+  Tensor l = leaky.forward(Tensor::from_vector({-0.0f, nan, -4.0f, 2.0f}), false);
+  EXPECT_TRUE(std::signbit(l[0]));
+  EXPECT_TRUE(std::isnan(l[1]));
+  EXPECT_EQ(l[2], -2.0f);
+  EXPECT_EQ(l[3], 2.0f);
 }
 
 TEST(ReLU, GradientMasksNegative) {
@@ -135,6 +157,68 @@ TEST(Conv2d, Im2colColumnLayout) {
   // Row 3 = kernel offset (1,1): bottom-right of each window.
   EXPECT_FLOAT_EQ(cols[12], 5.0f);
   EXPECT_FLOAT_EQ(cols[15], 9.0f);
+}
+
+/// The per-element im2col loop the row-copy version replaced, kept as the
+/// reference it must reproduce exactly.
+void im2col_per_element(const float* input, std::size_t channels, std::size_t height,
+                        std::size_t width, std::size_t kh, std::size_t kw, std::size_t stride,
+                        std::size_t pad, float* columns, std::size_t col_stride) {
+  const std::size_t out_h = (height + 2 * pad - kh) / stride + 1;
+  const std::size_t out_w = (width + 2 * pad - kw) / stride + 1;
+  const std::size_t rstride = col_stride == 0 ? out_h * out_w : col_stride;
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < channels; ++c) {
+    for (std::size_t ki = 0; ki < kh; ++ki) {
+      for (std::size_t kj = 0; kj < kw; ++kj, ++row) {
+        float* dst = columns + row * rstride;
+        for (std::size_t oy = 0; oy < out_h; ++oy) {
+          const long iy = static_cast<long>(oy * stride + ki) - static_cast<long>(pad);
+          for (std::size_t ox = 0; ox < out_w; ++ox) {
+            const long ix = static_cast<long>(ox * stride + kj) - static_cast<long>(pad);
+            const bool inside = iy >= 0 && iy < static_cast<long>(height) && ix >= 0 &&
+                                ix < static_cast<long>(width);
+            dst[oy * out_w + ox] =
+                inside ? input[(c * height + static_cast<std::size_t>(iy)) * width +
+                               static_cast<std::size_t>(ix)]
+                       : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Conv2d, Im2colMatchesPerElementReferenceExactly) {
+  // Sweep kernel, stride and padding (pad >= k included) over non-square
+  // inputs, tightly packed and with a wider row stride; every byte of the
+  // destination — gaps between strided rows too — must match.
+  util::Rng rng(12);
+  const std::size_t channels = 2;
+  const std::pair<std::size_t, std::size_t> sizes[] = {{7, 11}, {12, 5}, {1, 9}, {8, 8}};
+  std::size_t cases = 0;
+  for (std::size_t k : {1u, 3u, 5u, 7u})
+    for (std::size_t stride : {1u, 2u})
+      for (std::size_t pad : {0u, 1u, 3u})
+        for (const auto& [h, w] : sizes) {
+          if (h + 2 * pad < k || w + 2 * pad < k) continue;
+          const std::size_t oh = (h + 2 * pad - k) / stride + 1;
+          const std::size_t ow = (w + 2 * pad - k) / stride + 1;
+          const std::size_t rows = channels * k * k;
+          Tensor x = Tensor::randn({channels, h, w}, rng);
+          for (std::size_t col_stride : {std::size_t{0}, oh * ow + 3}) {
+            const std::size_t span = col_stride == 0 ? oh * ow : col_stride;
+            std::vector<float> want(rows * span, -7.0f), got(rows * span, -7.0f);
+            im2col_per_element(x.data(), channels, h, w, k, k, stride, pad, want.data(),
+                               col_stride);
+            nn::im2col(x.data(), channels, h, w, k, k, stride, pad, got.data(), col_stride);
+            ASSERT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0)
+                << "k=" << k << " stride=" << stride << " pad=" << pad << " h=" << h
+                << " w=" << w << " col_stride=" << col_stride;
+            ++cases;
+          }
+        }
+  EXPECT_GT(cases, 80u);
 }
 
 TEST(Conv2d, Col2imInvertsOverlapCounts) {

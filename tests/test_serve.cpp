@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "hdc/hypervector.hpp"
@@ -351,6 +353,77 @@ TEST(TopkScan, BinaryTopkIsBatchInvariantOnSharedAndPerQueryPlans) {
       }
     }
   }
+}
+
+// -- snapshot embed: once-packed projection vs. the layer forward -----------
+
+/// Untrained model at initial BatchNorm statistics — embed() only runs eval
+/// forwards, so no training is needed to compare the two paths. The
+/// projection bias is drawn at random (it starts at zero) so the bias
+/// epilogue is exercised.
+std::shared_ptr<core::ZscModel> make_untrained_model(const std::string& arch,
+                                                     std::size_t dim) {
+  util::Rng rng(0x5EEDULL);
+  core::ImageEncoderConfig icfg;
+  icfg.arch = arch;
+  icfg.proj_dim = dim;
+  auto img = std::make_unique<core::ImageEncoder>(icfg, rng);
+  img->projection()->bias().value = Tensor::randn({dim}, rng);
+  data::AttributeSpace space = data::AttributeSpace::toy(12, 1, 1);
+  auto attr = std::make_unique<core::HdcAttributeEncoder>(space, img->dim(), rng);
+  return std::make_shared<core::ZscModel>(std::move(img), std::move(attr), 4.0f);
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(SnapshotEmbed, PackedProjectionMatchesEncoderForwardBytewise) {
+  // resnet_micro_flat + FC 2048->256 is the served shape (blocked GEMM at
+  // every batch). resnet_micro + FC 32->8 gives m*n*k = B*256, below the
+  // blocking cutoff, where the packed entry must take the same naive loop
+  // Linear::forward takes.
+  const std::pair<std::string, std::size_t> models[] = {{"resnet_micro_flat", 256},
+                                                        {"resnet_micro", 8}};
+  for (const auto& [arch, dim] : models) {
+    auto model = make_untrained_model(arch, dim);
+    util::Rng rng(77);
+    serve::ModelSnapshot snap(model, Tensor::randn({5, 12}, rng));
+    for (std::size_t b : {1u, 3u, 8u}) {
+      Tensor x = Tensor::randn({b, 3, 32, 32}, rng);
+      const Tensor want = model->image_encoder().forward(x, /*train=*/false);
+      EXPECT_TRUE(same_bytes(snap.embed(x), want)) << arch << " B=" << b;
+    }
+    // A copy shares the packed weight and embeds the same bytes.
+    const serve::ModelSnapshot copy = snap;
+    Tensor x = Tensor::randn({2, 3, 32, 32}, rng);
+    EXPECT_TRUE(same_bytes(copy.embed(x), snap.embed(x))) << arch;
+  }
+}
+
+TEST(SnapshotEmbed, ConcurrentFirstEmbedsAgreeBytewise) {
+  // Four threads race the first embed on a fresh snapshot, so all four
+  // reach the one-time projection pack together; every result must equal
+  // the encoder forward byte for byte.
+  auto model = make_untrained_model("resnet_micro_flat", 256);
+  util::Rng rng(78);
+  const Tensor x = Tensor::randn({2, 3, 32, 32}, rng);
+  const Tensor want = model->image_encoder().forward(x, /*train=*/false);
+  const serve::ModelSnapshot snap(model, Tensor::randn({5, 12}, rng));
+  constexpr std::size_t kThreads = 4;
+  std::vector<Tensor> got(kThreads);
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      got[t] = snap.embed(x);
+    });
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t)
+    EXPECT_TRUE(same_bytes(got[t], want)) << "thread " << t;
 }
 
 // -- engine vs. model: bit-identical batched inference -----------------------
